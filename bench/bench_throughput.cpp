@@ -28,13 +28,11 @@
 //     framework has, so the solver upgrade is what the ratio measures).
 //     Checks both configurations resolve identically: the pipeline
 //     consumes only SAT verdicts, so heuristics cannot change results.
-//   * "thread_scaling": both parallel tiers measured as real speedup
-//     curves at {1, 2, N} threads (N = CCR_BENCH_THREADS, default
+//   * "thread_scaling": the entity pool measured as a real speedup
+//     curve at {1, 2, N} threads (N = CCR_BENCH_THREADS, default
 //     hardware_concurrency), each point the minimum of 3 reps. The
 //     "entity_pool" tier scales RunExperiment's batched work-stealing
-//     driver (entities across worker threads); the "portfolio" tier keeps
-//     the driver single-threaded and races diversified CDCL workers with
-//     clause sharing inside every solve. Each tier checks the pooled
+//     driver (entities across worker threads) and checks the pooled
 //     accuracy vectors are identical across all thread counts — threads
 //     may change wall time, never results. The section always runs and
 //     always reports measured numbers; on a 1-core machine the curves
@@ -180,7 +178,6 @@ MemorySoak RunMemorySoak(const Specification& spec,
   ResolveOptions opts;
   opts.naive_deduce = true;  // Lemma-6 churn on the persistent solver
   opts.solver.use_arena_gc = lifecycle_on;
-  opts.solver.use_bve = lifecycle_on;
   // A long-lived memory-bound service runs the collector eagerly; the
   // answer-round dead fraction plateaus near ~20% of the arena at large
   // corpus sizes, so the production default (0.25) would let this soak
@@ -347,7 +344,7 @@ int main() {
   const double ablation_speedup =
       modern_sat_ms > 0 ? legacy_sat_ms / modern_sat_ms : 0.0;
 
-  // --- thread scaling: entity-pool and portfolio tiers -------------------
+  // --- thread scaling: the entity pool -----------------------------------
   const int n_threads = BenchThreads();
   const Dataset batch_ds = BigPersonCorpus(2 * n_threads * scale);
   const int n_entities = static_cast<int>(batch_ds.entities.size());
@@ -393,30 +390,6 @@ int main() {
   }
   const bool pool_identical =
       SameAccuracy(pool_r1, pool_r2) && SameAccuracy(pool_r1, pool_rn);
-
-  // Tier 2 — portfolio: driver stays single-threaded; every solve races
-  // N diversified CDCL workers with learnt-clause sharing. Defer gate
-  // zero so the pipeline's small solves actually race (the production
-  // default would let them finish inside the sequential warm-up).
-  ExperimentOptions popts_scaling;
-  popts_scaling.max_rounds = 3;
-  popts_scaling.answers_per_round = 1;
-  popts_scaling.num_threads = 1;
-  popts_scaling.resolve.solver.portfolio_defer_conflicts = 0;
-  ExperimentResult port_r1, port_r2, port_rn;
-  popts_scaling.resolve.solver.portfolio_threads = 0;
-  const double port_t1 = time_experiment(popts_scaling, &port_r1);
-  popts_scaling.resolve.solver.portfolio_threads = 2;
-  const double port_t2 = time_experiment(popts_scaling, &port_r2);
-  double port_tn = port_t2;
-  if (n_threads > 2) {
-    popts_scaling.resolve.solver.portfolio_threads = n_threads;
-    port_tn = time_experiment(popts_scaling, &port_rn);
-  } else {
-    port_rn = port_r2;
-  }
-  const bool port_identical =
-      SameAccuracy(port_r1, port_r2) && SameAccuracy(port_r1, port_rn);
 
   // --- cross-entity allocation pooling (SessionScratch) ------------------
   ExperimentOptions popts;
@@ -669,19 +642,8 @@ int main() {
   std::printf("      \"identical_results\": %s\n",
               pool_identical ? "true" : "false");
   std::printf("    },\n");
-  std::printf("    \"portfolio\": {\n");
-  std::printf("      \"t1_seconds\": %.3f,\n", port_t1);
-  std::printf("      \"t2_seconds\": %.3f,\n", port_t2);
-  std::printf("      \"tN_seconds\": %.3f,\n", port_tn);
-  std::printf("      \"speedup_2\": %.3f,\n",
-              port_t2 > 0 ? port_t1 / port_t2 : 0.0);
-  std::printf("      \"speedup_N\": %.3f,\n",
-              port_tn > 0 ? port_t1 / port_tn : 0.0);
-  std::printf("      \"identical_results\": %s\n",
-              port_identical ? "true" : "false");
-  std::printf("    },\n");
   std::printf("    \"deterministic\": %s\n",
-              pool_identical && port_identical ? "true" : "false");
+              pool_identical ? "true" : "false");
   std::printf("  },\n");
   std::printf("  \"allocation_pooling\": {\n");
   std::printf("    \"entities\": %d,\n",

@@ -47,7 +47,7 @@
 #     regression tripwire, not a perf target).
 #
 # thread_scaling always runs and must always report identical results at
-# every thread count (entity-pool and portfolio tiers both). The speedup
+# every thread count of the entity-pool curve. The speedup
 # floor (CCR_BENCH_SCALING_FLOOR, default 1.3 at the 2-thread point of
 # the entity-pool curve) is only gated on multi-core runners: a 1-core
 # container measures scheduling overhead, not scaling, so only the
@@ -112,7 +112,6 @@ jq -e --argjson floor "$FLOOR" --argjson sfloor "$SUGGEST_FLOOR" \
   and (.solver_ablation.speedup >= $solfloor)
   and (.thread_scaling.deterministic == true)
   and (.thread_scaling.entity_pool.identical_results == true)
-  and (.thread_scaling.portfolio.identical_results == true)
   and ((($gatescaling | not))
        or (.thread_scaling.entity_pool.speedup_2 >= $scalefloor))
   and (.allocation_pooling.deterministic == true)
@@ -156,5 +155,4 @@ echo "OK: incremental speedup $(jq .incremental.speedup BENCH_throughput.json)x,
      "p99 $(jq .service.round_p99_ms BENCH_throughput.json) ms," \
      "$(jq .service.rehydrations BENCH_throughput.json) rehydrations)," \
      "entity-pool 2-thread speedup $(jq .thread_scaling.entity_pool.speedup_2 BENCH_throughput.json)x," \
-     "portfolio 2-thread speedup $(jq .thread_scaling.portfolio.speedup_2 BENCH_throughput.json)x," \
      "all equivalence checks true"

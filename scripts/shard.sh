@@ -18,16 +18,12 @@
 # restarts, one-step minimization, no inprocessing, no model cache) must
 # be byte-identical too — the pipeline consumes only SAT verdicts, so
 # solver heuristics can never change a resolution. A fourth gate runs
-# --solver nogc (arena GC and bounded variable elimination off, modern
-# heuristics otherwise): compaction relocates clauses and BVE rewrites
-# the problem, and neither may move a single result byte. A fifth gate
-# runs --solver nosls (local-search seeding and MaxSAT upper-bound
+# --solver nogc (arena GC off, modern heuristics otherwise): compaction
+# relocates clauses, and that may not move a single result byte. A fifth
+# gate runs --solver nosls (local-search seeding and MaxSAT upper-bound
 # probing off): SLS reorders which models CDCL finds and which bound the
 # Sinz search tries first, and none of it may move a result byte either.
-# A sixth gate runs --portfolio 2 (every solve races two diversified CDCL
-# workers with learnt-clause sharing, defer gate zero so the races really
-# fire): which worker wins and what clauses crossed the ring are
-# nondeterministic, the serialized result may not be. A seventh gate pins
+# A sixth gate pins
 # the backbone Deduce engine: on the --deduce naive pipeline (where the
 # flag is live), the default chunked/model-sweeping engine and --solver
 # nobackbone (one Lemma-6 solve per pair) must serialize to the same
@@ -107,14 +103,14 @@ else
   exit 1
 fi
 
-echo "Memory-lifecycle exactness: arena GC + BVE (default, on) vs" \
+echo "Memory-lifecycle exactness: arena GC (default, on) vs" \
      "--solver nogc..."
 "$BIN" "${FLAGS[@]}" --solver nogc --no-timings \
   --out "$WORK_DIR/nogc_solver.json"
 if cmp "$WORK_DIR/nogc_solver.json" "$WORK_DIR/single.json"; then
-  echo "OK: GC/BVE-off run is byte-identical to the default run"
+  echo "OK: GC-off run is byte-identical to the default run"
 else
-  echo "FAIL: GC/BVE-off result differs from the default run" >&2
+  echo "FAIL: GC-off result differs from the default run" >&2
   diff "$WORK_DIR/nogc_solver.json" "$WORK_DIR/single.json" >&2 || true
   exit 1
 fi
@@ -128,18 +124,6 @@ if cmp "$WORK_DIR/nosls_solver.json" "$WORK_DIR/single.json"; then
 else
   echo "FAIL: SLS-off result differs from the default run" >&2
   diff "$WORK_DIR/nosls_solver.json" "$WORK_DIR/single.json" >&2 || true
-  exit 1
-fi
-
-echo "Parallel-search exactness: single-threaded solves (default) vs" \
-     "--portfolio 2..."
-"$BIN" "${FLAGS[@]}" --portfolio 2 --no-timings \
-  --out "$WORK_DIR/portfolio.json"
-if cmp "$WORK_DIR/portfolio.json" "$WORK_DIR/single.json"; then
-  echo "OK: portfolio run is byte-identical to the single-threaded run"
-else
-  echo "FAIL: portfolio result differs from the single-threaded run" >&2
-  diff "$WORK_DIR/portfolio.json" "$WORK_DIR/single.json" >&2 || true
   exit 1
 fi
 

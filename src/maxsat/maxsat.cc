@@ -67,11 +67,9 @@ MaxSatResult IncrementalMaxSat::Solve(
   if (solver_->options().use_sls_probing) {
     probe = solver_->SeedFromLocalSearch(
         std::span<const Lit>(base.data(), base.size()), soft);
-    if (n > 0 && probe.feasible && probe.soft_unsat == 0 &&
-        probe.softs_exact) {
+    if (n > 0 && probe.feasible && probe.soft_unsat == 0) {
       // The probe's assignment is a genuine model (every live clause
-      // verified, eliminated variables reconstructed — no placeholder
-      // scores) satisfying every soft: optimum 0 is witnessed exactly.
+      // verified) satisfying every soft: optimum 0 is witnessed exactly.
       // An exact witness cannot be improved or contradicted, so the
       // relaxation, counter, and every CDCL call are skipped outright.
       // The verdict is what the exact search would compute; only the
@@ -137,7 +135,8 @@ MaxSatResult IncrementalMaxSat::Solve(
   // Bound search. Without a probe: linear climb — the first satisfiable
   // k is the exact optimum (k = n never needs a bound; all softs dropped
   // is satisfiable by the hard check above). With a feasible probe of u
-  // unsatisfied softs: verify SAT at u, then walk downward until UNSAT —
+  // unsatisfied softs: its assignment is a genuine model leaving u softs
+  // open, so bound u is satisfiable; walk downward until UNSAT —
   // identical optimum, and when the probe is exact the whole search is
   // one SAT (at u) plus one UNSAT (at u-1) solve.
   int best_k = n;
@@ -161,20 +160,11 @@ MaxSatResult IncrementalMaxSat::Solve(
         break;
       }
     }
-  } else if (sat_at(u)) {
+  } else {
+    const bool u_reachable = sat_at(u);
+    CCR_CHECK(u_reachable);
     best_k = u;
     while (best_k > 0 && sat_at(best_k - 1)) --best_k;
-  } else {
-    // The probe's bound was not genuinely achievable (possible only when
-    // a soft touches an eliminated variable, whose SLS value is a
-    // placeholder); every k <= u is UNSAT a fortiori, so resume the
-    // climb above u.
-    for (int k = u + 1; k < n; ++k) {
-      if (sat_at(k)) {
-        best_k = k;
-        break;
-      }
-    }
   }
   if (solver_->options().use_sls_probing) {
     solver_->RecordSlsProbe(probed && best_k == u);

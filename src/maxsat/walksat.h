@@ -74,10 +74,10 @@ Result<WalkSatResult> RunWalkSat(const sat::Cnf& cnf,
 
 /// Runs the same search directly on `solver`'s clause arena and binary
 /// watch lists — no CNF copy; the scratch is the solver's own pooled
-/// local-search buffers. Variables fixed at level 0 (and BVE-eliminated
-/// ones) never flip, and as a side effect the best assignment seeds the
-/// solver's saved phases / model cache exactly as SeedFromLocalSearch
-/// does. Precondition: decision level 0.
+/// local-search buffers. Variables fixed at level 0 never flip, and as a
+/// side effect the best assignment seeds the solver's saved phases /
+/// model cache exactly as SeedFromLocalSearch does. Precondition:
+/// decision level 0.
 Result<WalkSatResult> RunWalkSat(sat::Solver* solver,
                                  const WalkSatOptions& options);
 

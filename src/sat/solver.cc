@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
+#include <string>
 
 #include "src/common/rng.h"
 #include "src/common/status.h"
-#include "src/sat/portfolio.h"  // completes PortfolioTeam for team_
 
 namespace ccr::sat {
 
@@ -30,13 +30,6 @@ constexpr int64_t kVivifyPropBudget = 200'000;         // trail literals
 // reference in the next word. No live header can collide: the smallest
 // stored clause has size 2, so every real header is >= (2 << 3) = 16.
 constexpr uint32_t kMovedHeader = 7;
-
-// Bounded variable elimination limits (SatELite-style): skip a variable
-// whose occurrence side exceeds kBveOccLimit clauses, or whose resolvents
-// would exceed the clauses removed (no-growth rule) or grow past
-// kBveResolventLitCap literals.
-constexpr size_t kBveOccLimit = 16;
-constexpr size_t kBveResolventLitCap = 64;
 
 // Stochastic local search (SeedFromLocalSearch) auto-budget: flips per
 // try scale with the number of unfixed variables in the active
@@ -67,6 +60,35 @@ constexpr uint64_t kSlsSeedBase = 0x51e5'5eed'c0de'2013ULL;
 
 }  // namespace
 
+std::span<const SolverPreset> SolverPresets() {
+  static const std::vector<SolverPreset> presets = [] {
+    SolverOptions nogc;
+    nogc.use_arena_gc = false;
+    SolverOptions nosls;
+    nosls.use_sls_seeding = false;
+    nosls.use_sls_probing = false;
+    SolverOptions nobackbone;
+    nobackbone.use_backbone_deduce = false;
+    return std::vector<SolverPreset>{
+        {"modern", {}},
+        {"sls", {}},
+        {"legacy", SolverOptions::LegacyHeuristics()},
+        {"nogc", nogc},
+        {"nosls", nosls},
+        {"nobackbone", nobackbone},
+    };
+  }();
+  return presets;
+}
+
+Result<SolverOptions> SolverOptionsForPreset(std::string_view name) {
+  for (const SolverPreset& p : SolverPresets()) {
+    if (p.name == name) return p.options;
+  }
+  return Status::InvalidArgument("unknown solver preset '" +
+                                 std::string(name) + "'");
+}
+
 Solver::Solver(SolverOptions options) : options_(options) {}
 
 Var Solver::NewVar() {
@@ -90,8 +112,6 @@ Var Solver::NewVar() {
   while (occur_.size() < static_cast<size_t>(v) + 1) {
     occur_.emplace_back();
   }
-  eliminable_.push_back(0);
-  eliminated_.push_back(0);
   HeapInsert(v);
   return v;
 }
@@ -152,10 +172,6 @@ void Solver::Reset(SolverOptions options) {
   arena_peak_words_ = 0;
   arena_tmp_.clear();
   for (std::vector<ClauseRef>& o : occur_) o.clear();
-  eliminable_.clear();
-  eliminated_.clear();
-  elim_candidates_.clear();
-  elim_stack_.clear();
   model_fresh_ = false;
   model_pool_.clear();
   model_pool_next_ = 0;
@@ -163,13 +179,6 @@ void Solver::Reset(SolverOptions options) {
   // The scratch buffers keep their capacity; only the salt is observable
   // (it drives the local-search RNG stream).
   sls_salt_ = 0;
-  mirror_log_.clear();
-  team_.reset();
-  stop_flag_ = nullptr;
-  share_ring_ = nullptr;
-  export_buf_ = nullptr;
-  share_worker_ = -1;
-  conflict_cap_ = -1;
 }
 
 Solver::ClauseRef Solver::AllocClause(const std::vector<Lit>& lits,
@@ -232,22 +241,7 @@ bool Solver::AddClause(std::vector<Lit> lits) {
   InvalidateModelCache();
   for (Lit l : lits) {
     while (l.var() >= num_vars()) NewVar();
-    // Eliminated variables no longer exist in the formula; a caller that
-    // mentions one after MarkEliminable took effect is a contract breach.
-    CCR_CHECK(!eliminated_[l.var()]);
   }
-  if (options_.portfolio_threads > 1) {
-    // Mirror the raw caller clause for the helper team (SyncTeam). BVE
-    // resolvents and shared-clause imports go through AddClauseInternal
-    // and are deliberately not logged: helpers derive their own.
-    MirrorOp op;
-    op.lits = lits;
-    mirror_log_.push_back(std::move(op));
-  }
-  return AddClauseInternal(std::move(lits));
-}
-
-bool Solver::AddClauseInternal(std::vector<Lit> lits) {
   // Simplify: drop duplicate/false literals; detect tautology/satisfied.
   std::sort(lits.begin(), lits.end());
   std::vector<Lit> out;
@@ -292,7 +286,7 @@ bool Solver::AddClauseInternal(std::vector<Lit> lits) {
   const ClauseRef c = AllocClause(out, /*learnt=*/false);
   StoreClauseSig(c);
   clauses_.push_back(c);
-  if (TrackOccurrences()) {
+  if (options_.use_inprocessing) {
     for (Lit l : out) occur_[l.var()].push_back(c);
   }
   AttachClause(c);
@@ -322,10 +316,6 @@ Solver::ClauseRef Solver::Propagate() {
   ClauseRef conflict = kRefUndef;
   const bool use_bins = options_.use_binary_watches;
   while (qhead_ < trail_.size()) {
-    // Portfolio interrupt: another worker won. Bail mid-trail — qhead_
-    // persists, so whatever is left propagates on the next call. Search
-    // re-checks the flag before trusting a "no conflict" answer.
-    if (StopRequested()) break;
     if (use_bins) {
       // Binary-first BFS: drain every pending binary implication before
       // touching a long clause. Binaries resolve with one contiguous list
@@ -722,12 +712,12 @@ Lit Solver::PickBranchLit() {
   if (options_.use_vsids) {
     while (!HeapEmpty()) {
       next = HeapPop();
-      if (assigns_[next] == Lbool::kUndef && !eliminated_[next]) break;
+      if (assigns_[next] == Lbool::kUndef) break;
       next = kVarUndef;
     }
   } else {
     for (Var v = 0; v < num_vars(); ++v) {
-      if (assigns_[v] == Lbool::kUndef && !eliminated_[v]) {
+      if (assigns_[v] == Lbool::kUndef) {
         next = v;
         break;
       }
@@ -740,7 +730,6 @@ Lit Solver::PickBranchLit() {
 
 void Solver::RecordLearnt(const std::vector<Lit>& learnt, int lbd) {
   stats_.lbd_sum += lbd;
-  if (export_buf_ != nullptr) MaybeExportLearnt(learnt, lbd);
   if (learnt.size() == 1) {
     UncheckedEnqueue(learnt[0], kRefUndef);
     return;
@@ -974,7 +963,6 @@ bool Solver::Simplify() {
     SubsumptionPass();
     if (ok_) VivificationPass();
   }
-  if (options_.use_bve && ok_) EliminatePass();
   MaybeGarbageCollect();
   return ok_;
 }
@@ -990,13 +978,6 @@ bool Solver::FreezeScope(Lit activation, std::span<const Var> vars) {
   if (!ok_) return false;
   CCR_DCHECK(DecisionLevel() == 0);
   InvalidateModelCache();
-  if (options_.portfolio_threads > 1) {
-    MirrorOp op;
-    op.is_freeze = true;
-    op.act = activation;
-    op.vars.assign(vars.begin(), vars.end());
-    mirror_log_.push_back(std::move(op));
-  }
   // One batched multi-literal pass: enqueue ¬activation and every ¬v,
   // then run a single propagation fixpoint — instead of one unit clause
   // (each with its own propagation round) per variable.
@@ -1017,7 +998,6 @@ bool Solver::FreezeScope(Lit activation, std::span<const Var> vars) {
       return false;
     }
     if (val == Lbool::kUndef) UncheckedEnqueue(Lit::Neg(v), kRefUndef);
-    CCR_DCHECK(!eliminated_[v]);
     frozen_[v] = 1;
   }
   ok_ = (Propagate() == kRefUndef);
@@ -1037,7 +1017,6 @@ bool Solver::BeginProbe(std::span<const Lit> base) {
   trail_lim_.push_back(static_cast<int>(trail_.size()));
   for (const Lit a : base) {
     CCR_CHECK(a.var() < num_vars());
-    CCR_CHECK(!eliminated_[a.var()]);
     const Lbool v = ValueOf(a);
     if (v == Lbool::kFalse) {
       CancelUntil(0);
@@ -1150,15 +1129,6 @@ SolveResult Solver::Search(int64_t conflict_budget,
       continue;
     }
 
-    // No conflict. A stop request must be honored HERE, before the
-    // all-assigned => kSat check below: an interrupted Propagate may have
-    // left the trail only partially propagated, and a verdict computed
-    // from it would be unsound. Conflicts found while stopping are still
-    // real (handled above); only the quiescent paths are cut short.
-    if (StopRequested()) {
-      CancelUntil(0);
-      return SolveResult::kUnknown;
-    }
     bool restart = false;
     if (options_.use_restarts) {
       if (options_.use_ema_restarts) {
@@ -1174,12 +1144,6 @@ SolveResult Solver::Search(int64_t conflict_budget,
     }
     if (options_.max_conflicts >= 0 &&
         stats_.conflicts >= options_.max_conflicts) {
-      CancelUntil(0);
-      return SolveResult::kUnknown;
-    }
-    // Portfolio defer gate: the master's solo phase ends here and
-    // SolveInternal escalates to a race.
-    if (conflict_cap_ >= 0 && stats_.conflicts >= conflict_cap_) {
       CancelUntil(0);
       return SolveResult::kUnknown;
     }
@@ -1216,7 +1180,6 @@ SolveResult Solver::Search(int64_t conflict_budget,
         // All variables assigned: model found.
         CacheCurrentModel();
         model_.assign(assigns_.begin(), assigns_.end());
-        if (!elim_stack_.empty()) ExtendModel(&model_);
         return SolveResult::kSat;
       }
       ++stats_.decisions;
@@ -1233,7 +1196,7 @@ void Solver::CacheCurrentModel() {
   // scan. Only re-anchor when the formula moved past the cached state —
   // steady-state solve streams then pay nothing.
   if ((options_.use_sls_seeding || options_.use_sls_probing) &&
-      TrackOccurrences() &&
+      options_.use_inprocessing &&
       (sls_verified_val_.empty() || sls_verified_epoch_ != sls_epoch_ ||
        sls_verified_clauses_ != clauses_.size() ||
        sls_verified_val_.size() != assigns_.size())) {
@@ -1269,26 +1232,21 @@ LocalSearchResult Solver::SeedFromLocalSearch(
   const int nv = num_vars();
   SlsScratch& s = sls_;
 
-  // Fix the variables the search must not touch: the level-0 trail, the
-  // assumption literals, and BVE-eliminated variables (whose exact values
-  // only exist through model reconstruction). Everything else starts at
-  // its saved phase, so a solver that just produced a model searches from
-  // (near) that model.
+  // Fix the variables the search must not touch: the level-0 trail and
+  // the assumption literals. Everything else starts at its saved phase,
+  // so a solver that just produced a model searches from (near) that
+  // model.
   s.fixed.assign(static_cast<size_t>(nv), 0);
   s.val.resize(static_cast<size_t>(nv));
   for (Var v = 0; v < nv; ++v) {
     if (assigns_[v] != Lbool::kUndef) {
       s.fixed[v] = 1;
       s.val[v] = assigns_[v] == Lbool::kTrue ? 1 : 0;
-    } else if (eliminated_[v]) {
-      s.fixed[v] = 1;
-      s.val[v] = 0;
     } else {
       s.val[v] = polarity_[v] ? 0 : 1;
     }
   }
   for (Lit a : assumptions) {
-    if (eliminated_[a.var()]) return out;  // caller contract violation
     const uint8_t want = a.negated() ? 0 : 1;
     if (s.fixed[a.var()] && s.val[a.var()] != want) return out;
     s.fixed[a.var()] = 1;
@@ -1345,12 +1303,7 @@ LocalSearchResult Solver::SeedFromLocalSearch(
       out.ran = true;
       out.feasible = true;
       out.hard_unsat = 0;
-      // A soft counted unsat only through an undetermined (don't-care
-      // eliminated) variable keeps soft_unsat an upper bound, never an
-      // underestimate, so exactness still holds: every definite
-      // evaluation is against genuine values.
       out.soft_unsat = soft_unsat;
-      out.softs_exact = true;
       out.model.resize(static_cast<size_t>(nv));
       for (Var v = 0; v < nv; ++v) out.model[v] = m[v] == Lbool::kTrue ? 1 : 0;
       // Phases and the witness ring stay as they are: the CDCL descent
@@ -1414,17 +1367,15 @@ LocalSearchResult Solver::SeedFromLocalSearch(
       }
     };
     // Publishes the current s.val as a feasible result: scores the
-    // softs, reconstructs eliminated variables, and pushes the model
-    // into the witness ring exactly as the search below would. Only
-    // legal right after a scan proved every live clause satisfied.
+    // softs and pushes the model into the witness ring exactly as the
+    // search below would. Only legal right after a scan proved every live
+    // clause satisfied.
     const auto publish = [&] {
       int soft_unsat = 0;
-      bool selim = false;
       for (const std::vector<Lit>& soft : softs) {
         bool sat = false;
         for (Lit l : soft) {
           CCR_DCHECK(l.var() >= 0 && l.var() < nv);
-          selim = selim || eliminated_[l.var()];
           sat = sat || val_true(l);
         }
         if (!sat) ++soft_unsat;
@@ -1436,15 +1387,9 @@ LocalSearchResult Solver::SeedFromLocalSearch(
       out.model.assign(s.val.begin(), s.val.end());
       std::vector<Lbool> m(static_cast<size_t>(nv));
       for (Var v = 0; v < nv; ++v) {
-        m[v] = eliminated_[v] ? Lbool::kUndef
-                              : (s.val[v] ? Lbool::kTrue : Lbool::kFalse);
+        m[v] = s.val[v] ? Lbool::kTrue : Lbool::kFalse;
       }
-      if (!elim_stack_.empty()) ExtendModel(&m);
       CCR_DCHECK(DebugModelSatisfiesLive(m));
-      for (Var v = 0; v < nv; ++v) {
-        if (eliminated_[v]) out.model[v] = m[v] == Lbool::kTrue ? 1 : 0;
-      }
-      out.softs_exact = !selim;
       if (options_.use_model_cache) {
         if (model_pool_.size() < kModelPoolSize) {
           model_pool_.push_back(std::move(m));
@@ -1473,7 +1418,7 @@ LocalSearchResult Solver::SeedFromLocalSearch(
     // implied, and an assignment satisfying every problem clause
     // satisfies implications automatically.
     const auto try_incremental = [&] {
-      if (!TrackOccurrences() || sls_verified_val_.empty() ||
+      if (!options_.use_inprocessing || sls_verified_val_.empty() ||
           sls_verified_epoch_ != sls_epoch_ || sls_bin_log_overflow_ ||
           sls_verified_clauses_ > clauses_.size()) {
         return false;
@@ -1694,7 +1639,7 @@ LocalSearchResult Solver::SeedFromLocalSearch(
       scan_all(/*collect=*/true);
       exhaustive = !any_unsat;
     }
-    if (TrackOccurrences()) {
+    if (options_.use_inprocessing) {
       s.cand.clear();  // reused as the flipped-variable log
       bool feasible = exhaustive && worklist.empty();
       // Greedy repair, in rounds: drain the (possibly truncated)
@@ -1793,15 +1738,7 @@ LocalSearchResult Solver::SeedFromLocalSearch(
     }
   }
   int soft_base = 0;  // softs permanently unsatisfied under the fixing
-  bool soft_touches_elim = false;
   for (const std::vector<Lit>& soft : softs) {
-    for (Lit l : soft) {
-      CCR_DCHECK(l.var() >= 0 && l.var() < nv);
-      // A soft touching an eliminated variable is scored against that
-      // variable's placeholder value; the bound consumer verifies with
-      // exact solves either way.
-      soft_touches_elim = soft_touches_elim || eliminated_[l.var()];
-    }
     if (add_clause({soft.data(), soft.size()}) == 1) ++soft_base;
   }
   const int n_clauses = static_cast<int>(s.starts.size()) - 1;
@@ -1966,27 +1903,19 @@ LocalSearchResult Solver::SeedFromLocalSearch(
   if (out.feasible) {
     // Install the model as saved phases: the next CDCL descent starts
     // at it. Only the searched variables move — fixed variables' phases
-    // are irrelevant (assigned) or owned by reconstruction. A failed
+    // are irrelevant (assigned or assumed). A failed
     // search installs nothing: overwriting saved phases with a
     // best-effort non-model measurably slows the solves that follow.
     for (Var v : s.free_vars) polarity_[v] = s.best[v] == 0;
     // Every live problem clause is satisfied; together with the level-0
-    // trail (dead clauses are subsumed, swept-satisfied, or reconstructed
-    // by the BVE stack) this extends to a genuine model, so it may enter
-    // the witness ring the same way a search model does.
+    // trail (dead clauses are subsumed or swept-satisfied) this is a
+    // genuine model, so it may enter the witness ring the same way a
+    // search model does.
     std::vector<Lbool> m(static_cast<size_t>(nv));
     for (Var v = 0; v < nv; ++v) {
-      m[v] = eliminated_[v] ? Lbool::kUndef
-                            : (s.best[v] ? Lbool::kTrue : Lbool::kFalse);
+      m[v] = s.best[v] ? Lbool::kTrue : Lbool::kFalse;
     }
-    if (!elim_stack_.empty()) ExtendModel(&m);
     CCR_DCHECK(DebugModelSatisfiesLive(m));
-    // Reflect the reconstructed values so out.model is a genuine model,
-    // and mark the soft score exact when no placeholder was involved.
-    for (Var v = 0; v < nv; ++v) {
-      if (eliminated_[v]) out.model[v] = m[v] == Lbool::kTrue ? 1 : 0;
-    }
-    out.softs_exact = !soft_touches_elim;
     if (options_.use_model_cache) {
       if (model_pool_.size() < kModelPoolSize) {
         model_pool_.push_back(std::move(m));
@@ -2072,22 +2001,7 @@ SolveResult Solver::SolveInternal(std::span<const Lit> assumptions) {
       return SolveResult::kSat;
     }
   }
-  SolveResult r;
-  if (options_.portfolio_threads > 1 && ok_) {
-    // Defer gate: search alone first — most pipeline solves finish
-    // within a few hundred conflicts and a thread spawn would be pure
-    // overhead. Only a solve still undecided at the cap races.
-    conflict_cap_ = stats_.conflicts + options_.portfolio_defer_conflicts;
-    r = SolveLoop(assumptions);
-    conflict_cap_ = -1;
-    const bool out_of_budget = options_.max_conflicts >= 0 &&
-                               stats_.conflicts >= options_.max_conflicts;
-    if (r == SolveResult::kUnknown && !out_of_budget) {
-      r = PortfolioRace(assumptions);
-    }
-  } else {
-    r = SolveLoop(assumptions);
-  }
+  const SolveResult r = SolveLoop(assumptions);
   last_call_ = stats_ - before;
   return r;
 }
@@ -2095,10 +2009,7 @@ SolveResult Solver::SolveInternal(std::span<const Lit> assumptions) {
 SolveResult Solver::SolveLoop(std::span<const Lit> assumptions) {
   conflict_core_.clear();
   if (!ok_) return SolveResult::kUnsat;
-  for (Lit a : assumptions) {
-    CCR_CHECK(a.var() < num_vars());
-    CCR_CHECK(!eliminated_[a.var()]);
-  }
+  for (Lit a : assumptions) CCR_CHECK(a.var() < num_vars());
   CancelUntil(0);
   max_learnts_ =
       std::max(1000.0, static_cast<double>(clauses_.size()) / 3.0);
@@ -2118,22 +2029,12 @@ SolveResult Solver::SolveLoop(std::span<const Lit> assumptions) {
       CancelUntil(0);
       return r;
     }
-    // Search returned kUnknown at level 0: a restart boundary, an
-    // exhausted budget, the portfolio defer gate, or a stop request.
-    if (StopRequested()) return SolveResult::kUnknown;
+    // Search returned kUnknown at level 0: a restart boundary or an
+    // exhausted budget.
     if (options_.max_conflicts >= 0 &&
         stats_.conflicts >= options_.max_conflicts) {
       CancelUntil(0);
       return SolveResult::kUnknown;
-    }
-    if (conflict_cap_ >= 0 && stats_.conflicts >= conflict_cap_) {
-      return SolveResult::kUnknown;
-    }
-    // Racing: integrate the other workers' exports at this restart
-    // boundary, at decision level 0. An implied empty clause here is a
-    // sound UNSAT verdict.
-    if (share_ring_ != nullptr && !ImportSharedClauses()) {
-      return SolveResult::kUnsat;
     }
     ++restart_round;
     ++stats_.restarts;
@@ -2453,7 +2354,7 @@ void Solver::GarbageCollect() {
   arena_tmp_.clear();
   arena_tmp_.shrink_to_fit();
   // ClauseLits reads arena_, so the rebuild has to follow the swap.
-  if (TrackOccurrences()) RebuildOccurrenceIndex();
+  if (options_.use_inprocessing) RebuildOccurrenceIndex();
   stats_.gc_reclaimed_words += static_cast<int64_t>(old_words - arena_.size());
   ++stats_.gc_runs;
   arena_dead_words_ = 0;
@@ -2471,205 +2372,12 @@ void Solver::MaybeGarbageCollect() {
 void Solver::RebuildOccurrenceIndex() {
   for (std::vector<ClauseRef>& o : occur_) o.clear();
   // Iterating clauses_ reproduces clause-addition order, the same order
-  // the incremental appends in AddClauseInternal produce.
+  // the incremental appends in AddClause produce.
   for (ClauseRef c : clauses_) {
     const Lit* lits = ClauseLits(c);
     for (int k = 0; k < ClauseSize(c); ++k) {
       occur_[lits[k].var()].push_back(c);
     }
-  }
-}
-
-// --- bounded variable elimination ----------------------------------------
-
-void Solver::MarkEliminable(Var v) {
-  CCR_CHECK(v >= 0 && v < num_vars());
-  if (eliminable_[v]) return;
-  eliminable_[v] = 1;
-  elim_candidates_.push_back(v);
-}
-
-void Solver::EliminatePass() {
-  CCR_DCHECK(DecisionLevel() == 0);
-  if (!ok_ || elim_candidates_.empty()) return;
-  bool any = false;
-  size_t keep = 0;
-  for (Var v : elim_candidates_) {
-    if (eliminated_[v] || frozen_[v] || assigns_[v] != Lbool::kUndef) {
-      continue;  // fixed or released: nothing left to eliminate
-    }
-    if (TryEliminateVar(v)) {
-      any = true;
-      if (!ok_) break;
-      continue;
-    }
-    elim_candidates_[keep++] = v;  // over limits now; retry next round
-  }
-  elim_candidates_.resize(keep);
-  if (!any) return;
-  // Learnt clauses are implied, so they never joined the elimination —
-  // but any that still mention an eliminated variable would pin it in
-  // the search and must go.
-  for (std::vector<ClauseRef>* list :
-       {&learnts_core_, &learnts_mid_, &learnts_local_}) {
-    size_t j = 0;
-    for (ClauseRef c : *list) {
-      if (ClauseDead(c)) continue;
-      const Lit* lits = ClauseLits(c);
-      const int size = ClauseSize(c);
-      bool touches = false;
-      for (int k = 0; k < size && !touches; ++k) {
-        touches = eliminated_[lits[k].var()] != 0;
-      }
-      if (touches) {
-        DetachClause(c);
-        MarkClauseDead(c);
-        continue;
-      }
-      (*list)[j++] = c;
-    }
-    list->resize(j);
-  }
-  CompactProblemClauses();
-}
-
-bool Solver::TryEliminateVar(Var v) {
-  CCR_DCHECK(assigns_[v] == Lbool::kUndef);
-  // Gather the clauses containing v. The occurrence index is lazy:
-  // entries may be dead, or may no longer contain v after strengthening
-  // — verify both before counting them.
-  std::vector<std::vector<Lit>> pos, neg;
-  std::vector<ClauseRef> refs;
-  for (ClauseRef c : occur_[v]) {
-    if (ClauseDead(c)) continue;
-    const Lit* lits = ClauseLits(c);
-    const int size = ClauseSize(c);
-    Lit vlit = kLitUndef;
-    for (int k = 0; k < size; ++k) {
-      if (lits[k].var() == v) {
-        vlit = lits[k];
-        break;
-      }
-    }
-    if (vlit == kLitUndef) continue;  // stale entry: strengthened away
-    refs.push_back(c);
-    std::vector<Lit> cl(lits, lits + size);
-    (vlit.negated() ? neg : pos).push_back(std::move(cl));
-  }
-  // Binary implication lists hold the rest — including learnt binaries,
-  // which is sound: resolving implied clauses yields implied resolvents,
-  // and saving them only over-constrains the reconstruction.
-  const Lit pv = Lit::Pos(v);
-  const Lit nv = Lit::Neg(v);
-  for (Lit q : bins_[nv.index()]) pos.push_back({pv, q});  // (v ∨ q)
-  for (Lit q : bins_[pv.index()]) neg.push_back({nv, q});  // (¬v ∨ q)
-  if (pos.size() > kBveOccLimit || neg.size() > kBveOccLimit) return false;
-
-  // Build the resolvent set; bail on growth before mutating anything.
-  std::vector<std::vector<Lit>> resolvents;
-  for (const std::vector<Lit>& p : pos) {
-    for (const std::vector<Lit>& n : neg) {
-      std::vector<Lit> r;
-      bool taut = false;
-      for (Lit l : p) {
-        if (l.var() != v) r.push_back(l);
-      }
-      for (Lit l : n) {
-        if (l.var() == v) continue;
-        bool dup = false;
-        for (Lit x : r) {
-          if (x == l) {
-            dup = true;
-            break;
-          }
-          if (x == ~l) {
-            taut = true;
-            break;
-          }
-        }
-        if (taut) break;
-        if (!dup) r.push_back(l);
-      }
-      if (taut) continue;
-      if (r.size() > kBveResolventLitCap) return false;
-      resolvents.push_back(std::move(r));
-      if (resolvents.size() > pos.size() + neg.size()) return false;
-    }
-  }
-
-  // Commit. Save the removed clauses for model reconstruction first.
-  ElimRecord rec;
-  rec.v = v;
-  rec.clauses.reserve(pos.size() + neg.size());
-  for (std::vector<Lit>& cl : pos) rec.clauses.push_back(std::move(cl));
-  for (std::vector<Lit>& cl : neg) rec.clauses.push_back(std::move(cl));
-  elim_stack_.push_back(std::move(rec));
-  for (ClauseRef c : refs) {
-    DetachClause(c);
-    MarkClauseDead(c);
-  }
-  // Binary surgery: drop v's clauses from the partner lists, then v's
-  // own lists wholesale. A partner q never has q.var() == v (tautologies
-  // and duplicate literals are rejected at AddClause), so the lists
-  // being iterated are never the ones edited.
-  auto remove_one = [this](Lit from, Lit what) {
-    std::vector<Lit>& list = bins_[from.index()];
-    for (size_t i = 0; i < list.size(); ++i) {
-      if (list[i] == what) {
-        list[i] = list.back();
-        list.pop_back();
-        return;
-      }
-    }
-    CCR_DCHECK(false);
-  };
-  for (Lit q : bins_[nv.index()]) remove_one(~q, pv);
-  for (Lit q : bins_[pv.index()]) remove_one(~q, nv);
-  bins_[nv.index()].clear();
-  bins_[pv.index()].clear();
-  occur_[v].clear();
-  eliminated_[v] = 1;
-  ++stats_.bve_eliminated;
-  for (std::vector<Lit>& r : resolvents) {
-    ++stats_.bve_resolvents;
-    if (!AddClauseInternal(std::move(r)) && !ok_) break;
-  }
-  return true;
-}
-
-void Solver::ExtendModel(std::vector<Lbool>* model) const {
-  // Newest elimination first: a saved clause can mention variables
-  // eliminated later (their records are below on the stack — processed
-  // already), never ones eliminated earlier (those were gone from the
-  // formula when this record's clauses were saved).
-  for (auto it = elim_stack_.rbegin(); it != elim_stack_.rend(); ++it) {
-    const Var v = it->v;
-    if (static_cast<size_t>(v) >= model->size()) continue;
-    if ((*model)[v] != Lbool::kUndef) continue;
-    Lbool val = Lbool::kFalse;
-    [[maybe_unused]] bool forced = false;
-    for (const std::vector<Lit>& cl : it->clauses) {
-      Lit vlit = kLitUndef;
-      bool satisfied = false;
-      for (Lit l : cl) {
-        if (l.var() == v) {
-          vlit = l;
-          continue;
-        }
-        if (LboolOf((*model)[l.var()], l.negated()) == Lbool::kTrue) {
-          satisfied = true;
-          break;
-        }
-      }
-      if (satisfied) continue;
-      CCR_DCHECK(vlit != kLitUndef);
-      const Lbool need = vlit.negated() ? Lbool::kFalse : Lbool::kTrue;
-      // The resolvent set guarantees one value satisfies every clause.
-      CCR_DCHECK(!forced || val == need);
-      forced = true;
-      val = need;
-    }
-    (*model)[v] = val;
   }
 }
 

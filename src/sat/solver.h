@@ -23,15 +23,15 @@
 #ifndef CCR_SAT_SOLVER_H_
 #define CCR_SAT_SOLVER_H_
 
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/sat/cnf.h"
 #include "src/sat/literal.h"
 
@@ -76,7 +76,7 @@ struct SolverOptions {
   /// The verdict is exact either way, so results cannot change.
   bool use_model_cache = true;
   /// Compacting arena garbage collection: once the words owned by dead
-  /// clauses (removed, subsumed, shrunk, eliminated) exceed gc_frac of
+  /// clauses (removed, subsumed, shrunk) exceed gc_frac of
   /// the arena, live clauses relocate into a fresh arena and every
   /// ClauseRef holder — watch lists, reason slots, learnt tiers, the
   /// occurrence index — is rewritten. Triggered from Simplify() and after
@@ -84,13 +84,6 @@ struct SolverOptions {
   /// changes memory and time only, never a verdict or a model.
   bool use_arena_gc = true;
   double gc_frac = 0.25;
-  /// Bounded variable elimination (SatELite-style) as an inprocessing
-  /// step over variables the caller declared disposable via
-  /// MarkEliminable(): a variable is resolved away when the resolvents do
-  /// not grow the clause count. A model-reconstruction stack keeps
-  /// ModelValue exact for eliminated variables, so cached-model
-  /// witnesses and downstream model extraction stay valid.
-  bool use_bve = true;
   /// Stochastic local search (WalkSAT) in the hot path. Both flags may
   /// only change time-to-verdict, never a verdict: every answer is still
   /// produced by the exact CDCL search / MaxSAT bound solves.
@@ -125,23 +118,6 @@ struct SolverOptions {
   double var_decay = 0.95;
   double clause_decay = 0.999;
   int64_t max_conflicts = -1;     // < 0 means unlimited
-  /// Portfolio search (src/sat/portfolio.{h,cc}): when > 1, a solve that
-  /// survives the defer gate below races this solver against
-  /// portfolio_threads - 1 helper solvers carrying diversified heuristic
-  /// configurations on a mirrored copy of the formula, all exchanging
-  /// learnt unit/binary/low-LBD clauses through a lock-light ring. The
-  /// first decisive worker wins; the rest are interrupted. Portfolio
-  /// search may only ever change time-to-verdict, never a verdict — every
-  /// shared clause is implied, so the existing byte-identity suites stay
-  /// the gate. 0 or 1 = off (the default; the service layer keeps it off
-  /// and lets the per-entity pool own the cores).
-  int portfolio_threads = 0;
-  /// Conflicts the master searches alone before a portfolio race spawns
-  /// threads. Most pipeline solves (model-cache misses included) finish
-  /// within a few hundred conflicts; paying a thread spawn for those
-  /// would be pure overhead. Only solves still undecided after this many
-  /// conflicts race.
-  int64_t portfolio_defer_conflicts = 512;
 
   /// The 2003-era configuration this repo started from: every
   /// modernization flag off. The single definition the ablation bench,
@@ -157,13 +133,34 @@ struct SolverOptions {
     o.use_inprocessing = false;
     o.use_model_cache = false;
     o.use_arena_gc = false;
-    o.use_bve = false;
     o.use_sls_seeding = false;
     o.use_sls_probing = false;
     o.use_backbone_deduce = false;
     return o;
   }
 };
+
+/// A named SolverOptions configuration. The one vocabulary shared by
+/// `ccr_experiment --solver`, the service wire's `solver_preset` and
+/// snapshot validation:
+///   modern      the defaults
+///   sls         alias of modern (the local-search warm starts are on)
+///   legacy      LegacyHeuristics()
+///   nogc        modern with arena GC off
+///   nosls       modern with SLS seeding and MaxSAT probing off
+///   nobackbone  modern with the per-pair Lemma-6 Deduce loop
+/// Every preset resolves every entity identically; the presets exist so
+/// byte-identity lanes and A/B benches can prove exactly that.
+struct SolverPreset {
+  std::string_view name;
+  SolverOptions options;
+};
+
+/// Every preset, in the order above.
+std::span<const SolverPreset> SolverPresets();
+
+/// The options of the preset called `name`; InvalidArgument otherwise.
+Result<SolverOptions> SolverOptionsForPreset(std::string_view name);
 
 /// Outcome of a solve call.
 enum class SolveResult { kSat, kUnsat, kUnknown };
@@ -204,10 +201,6 @@ struct SolverStats {
   /// (use_arena_gc).
   int64_t gc_runs = 0;
   int64_t gc_reclaimed_words = 0;
-  /// Bounded variable elimination: variables resolved away, and the
-  /// resolvent clauses added back in their place (use_bve).
-  int64_t bve_eliminated = 0;
-  int64_t bve_resolvents = 0;
   /// Stochastic local search: flips performed across all
   /// SeedFromLocalSearch calls, fully satisfying assignments pushed into
   /// the cached-model ring (use_sls_seeding / use_sls_probing), and
@@ -217,17 +210,6 @@ struct SolverStats {
   int64_t sls_seeded_models = 0;
   int64_t sls_probes = 0;
   int64_t sls_probe_wins = 0;
-  /// Portfolio search (portfolio_threads > 1): races that actually
-  /// spawned worker threads, shared clauses integrated by this solver and
-  /// its helpers (split by kind: units, binaries, longer low-LBD
-  /// clauses), and workers interrupted because another worker finished
-  /// first. Helper-side imports are folded into the master's counters
-  /// when a race ends, so RoundTrace attribution sees the whole team.
-  int64_t portfolio_races = 0;
-  int64_t imported_units = 0;
-  int64_t imported_bins = 0;
-  int64_t imported_lbd = 0;
-  int64_t cancelled_workers = 0;
   /// Backbone-style Deduce (reported by src/core/deduce.cc via
   /// RecordDeduce): solver calls issued by the Deduce phase (the initial
   /// validity solve plus, per-pair under the naive loop or per-chunk
@@ -259,17 +241,10 @@ struct SolverStats {
             model_cache_hits - o.model_cache_hits,
             gc_runs - o.gc_runs,
             gc_reclaimed_words - o.gc_reclaimed_words,
-            bve_eliminated - o.bve_eliminated,
-            bve_resolvents - o.bve_resolvents,
             sls_flips - o.sls_flips,
             sls_seeded_models - o.sls_seeded_models,
             sls_probes - o.sls_probes,
             sls_probe_wins - o.sls_probe_wins,
-            portfolio_races - o.portfolio_races,
-            imported_units - o.imported_units,
-            imported_bins - o.imported_bins,
-            imported_lbd - o.imported_lbd,
-            cancelled_workers - o.cancelled_workers,
             deduce_queries - o.deduce_queries,
             deduce_model_prunes - o.deduce_model_prunes,
             deduce_propagation_proofs - o.deduce_propagation_proofs,
@@ -295,17 +270,10 @@ struct SolverStats {
     model_cache_hits += o.model_cache_hits;
     gc_runs += o.gc_runs;
     gc_reclaimed_words += o.gc_reclaimed_words;
-    bve_eliminated += o.bve_eliminated;
-    bve_resolvents += o.bve_resolvents;
     sls_flips += o.sls_flips;
     sls_seeded_models += o.sls_seeded_models;
     sls_probes += o.sls_probes;
     sls_probe_wins += o.sls_probe_wins;
-    portfolio_races += o.portfolio_races;
-    imported_units += o.imported_units;
-    imported_bins += o.imported_bins;
-    imported_lbd += o.imported_lbd;
-    cancelled_workers += o.cancelled_workers;
     deduce_queries += o.deduce_queries;
     deduce_model_prunes += o.deduce_model_prunes;
     deduce_propagation_proofs += o.deduce_propagation_proofs;
@@ -337,21 +305,11 @@ struct LocalSearchResult {
   /// Problem clauses left unsatisfied by the best assignment.
   int hard_unsat = 0;
   /// Soft clauses left unsatisfied by the best assignment (the MaxSAT
-  /// upper bound u when `feasible`).
+  /// upper bound u when `feasible`, and then the exact score of `model`).
   int soft_unsat = 0;
-  /// True when `feasible` and no soft clause touches a BVE-eliminated
-  /// variable: `soft_unsat` is then the exact score of `model` (a genuine
-  /// model), not an estimate against placeholder values.
-  bool softs_exact = false;
-  /// Best assignment per variable. When `feasible`, eliminated variables
-  /// carry their reconstructed values, making this a genuine model;
-  /// otherwise they are unspecified.
+  /// Best assignment per variable; a genuine model when `feasible`.
   std::vector<uint8_t> model;
 };
-
-class ClauseExportBuf;  // src/sat/portfolio.h
-class ClauseShareRing;  // src/sat/portfolio.h
-class PortfolioTeam;    // src/sat/portfolio.h
 
 /// \brief Incremental CDCL solver.
 ///
@@ -365,7 +323,6 @@ class PortfolioTeam;    // src/sat/portfolio.h
 class Solver {
  public:
   explicit Solver(SolverOptions options = {});
-  ~Solver();  // out of line: PortfolioTeam is incomplete here
   Solver(const Solver&) = delete;
   Solver& operator=(const Solver&) = delete;
 
@@ -447,19 +404,18 @@ class Solver {
   /// clause arena and binary watch lists (no CNF copy; scratch buffers
   /// are pooled on the solver and reused across calls).
   ///
-  /// Variables fixed on the level-0 trail, named by `assumptions`, or
-  /// eliminated by BVE never flip; the search covers exactly the live
-  /// problem clauses not already satisfied by those fixings. The best
-  /// assignment found is installed into the saved-phase array (biasing
-  /// the next CDCL descent toward it), and when it satisfies every
-  /// problem clause it is extended over eliminated variables and pushed
-  /// into the cached-model ring as a genuine witness. `softs` (clauses
-  /// over existing, non-eliminated variables) are scored but never
-  /// required: the returned soft_unsat of a feasible pass is the MaxSAT
-  /// upper-bound probe. Deterministic: the RNG is seeded from a per-call
-  /// salt (reset by Reset()) or budget.seed — never wall-clock or global
-  /// state. Must be called at decision level 0. Verdict-neutral by
-  /// construction: phases and cached models only steer search time.
+  /// Variables fixed on the level-0 trail or named by `assumptions` never
+  /// flip; the search covers exactly the live problem clauses not already
+  /// satisfied by those fixings. The best assignment found is installed
+  /// into the saved-phase array (biasing the next CDCL descent toward
+  /// it), and when it satisfies every problem clause it is pushed into
+  /// the cached-model ring as a genuine witness. `softs` (clauses over
+  /// existing variables) are scored but never required: the returned
+  /// soft_unsat of a feasible pass is the MaxSAT upper-bound probe.
+  /// Deterministic: the RNG is seeded from a per-call salt (reset by
+  /// Reset()) or budget.seed — never wall-clock or global state. Must be
+  /// called at decision level 0. Verdict-neutral by construction: phases
+  /// and cached models only steer search time.
   LocalSearchResult SeedFromLocalSearch(
       std::span<const Lit> assumptions = {},
       std::span<const std::vector<Lit>> softs = {},
@@ -522,21 +478,6 @@ class Solver {
   /// unsatisfiable. ScopedVars::Release is the caller.
   bool FreezeScope(Lit activation, std::span<const Var> vars);
 
-  /// Integrates one clause learnt by another portfolio worker (public so
-  /// the validation contract is directly testable). The clause must be
-  /// implied by the problem clauses; the solver must be at decision
-  /// level 0. Returns true iff the clause was integrated: a clause
-  /// mentioning an unknown, BVE-eliminated, or scope-frozen variable is
-  /// rejected outright (eliminated variables no longer exist in this
-  /// solver's formula, and frozen scopes may differ from the exporter's
-  /// view — rejection is always sound, an import never is unless it
-  /// validates). Satisfied clauses are skipped; false literals are
-  /// dropped by level-0 propagation, and a clause emptied that way proves
-  /// the formula UNSAT (IsUnsatForever() flips — the implied empty
-  /// clause). Imports never invalidate the cached-model pool: an implied
-  /// clause is satisfied by every genuine model already cached.
-  bool ImportSharedClause(std::span<const Lit> lits, int glue);
-
   /// Debug/test accessor: every learnt clause currently in the database
   /// (all tiers), plus every binary clause ever learnt into the implicit
   /// binary watch lists. Each returned clause is implied by the problem
@@ -564,14 +505,6 @@ class Solver {
   /// every later decision, propagation and verdict is identical to a run
   /// that never collected.
   void GarbageCollect();
-
-  /// Declares `v` a candidate for bounded variable elimination
-  /// (use_bve): the caller promises `v` is never assumed and never
-  /// appears in a clause added after this call (both checked). Once
-  /// inprocessing resolves `v` away, ModelValue(v) stays exact through
-  /// the model-reconstruction stack.
-  void MarkEliminable(Var v);
-  bool VarEliminated(Var v) const { return eliminated_[v] != 0; }
 
   /// Arena occupancy in 32-bit words: current size, size minus the dead
   /// words awaiting collection, and the lifetime high-water mark. The
@@ -665,36 +598,6 @@ class Solver {
     Lit blocker;
   };
 
-  // --- portfolio search (implemented in src/sat/portfolio.cc) ----------
-  //
-  // SolveInternal intercepts a solve when options_.portfolio_threads > 1:
-  // the master first searches alone under a conflict cap (the defer
-  // gate); a solve still undecided then races the master (worker 0, this
-  // thread) against the lazily created helper team. During a race every
-  // worker exports small learnt clauses into its ring slot
-  // (MaybeExportLearnt, from RecordLearnt) and imports the other
-  // workers' exports at restart boundaries (ImportSharedClauses, from
-  // SolveLoop at level 0). The first decisive worker CASes itself the
-  // winner and raises the stop flag, which Search and Propagate poll.
-  SolveResult PortfolioRace(std::span<const Lit> assumptions);
-  // Creates the helper team on first use and replays the mirror op log
-  // (caller clauses + scope freezes recorded by AddClause/FreezeScope
-  // while portfolio is enabled) so every helper holds an equisatisfiable
-  // copy of the formula with identical variable ids.
-  void SyncTeam();
-  // Drains every other worker's export buffer through ImportSharedClause.
-  // Returns ok_ (false = an implied empty clause surfaced: UNSAT).
-  bool ImportSharedClauses();
-  void MaybeExportLearnt(const std::vector<Lit>& learnt, int lbd);
-  // Installs a winning helper's model as this solver's model_ (the helper
-  // formula is the mirrored original, so its model satisfies every master
-  // clause — BVE resolvents included, they are implied).
-  void AdoptExternalModel(const std::vector<Lbool>& m);
-  bool StopRequested() const {
-    return stop_flag_ != nullptr &&
-           stop_flag_->load(std::memory_order_relaxed) != 0;
-  }
-
   // --- search ----------------------------------------------------------
   SolveResult SolveInternal(std::span<const Lit> assumptions);
   SolveResult SolveLoop(std::span<const Lit> assumptions);
@@ -719,18 +622,11 @@ class Solver {
   void SweepSatisfied(std::vector<ClauseRef>* list);
   void SweepSatisfiedProblem();
   void SweepBinaries();
-  // Shared tail of AddClause: simplify, allocate, index, attach. The
-  // internal entry point is what BVE uses to insert resolvents — they are
-  // implied by the clauses they replace, so it must NOT invalidate the
-  // model cache the way a genuine caller-added clause does.
-  bool AddClauseInternal(std::vector<Lit> lits);
+  size_t NumReducibleLearnts() const {
+    return learnts_mid_.size() + learnts_local_.size();
+  }
 
   // --- arena lifecycle --------------------------------------------------
-  // Whether the persistent occurrence index is maintained at all: both
-  // the subsumption pass and variable elimination consume it.
-  bool TrackOccurrences() const {
-    return options_.use_inprocessing || options_.use_bve;
-  }
   void MaybeGarbageCollect();
   ClauseRef RelocateClause(ClauseRef c);
   // Drops dead entries from clauses_, shifting inproc_watermark_ by the
@@ -738,16 +634,6 @@ class Solver {
   // drifting fresh-clause counter.
   void CompactProblemClauses();
   void RebuildOccurrenceIndex();
-
-  // --- bounded variable elimination ------------------------------------
-  void EliminatePass();
-  bool TryEliminateVar(Var v);
-  // Fills the eliminated variables of `model` (processed newest
-  // elimination first) with values satisfying their saved clauses.
-  void ExtendModel(std::vector<Lbool>* model) const;
-  size_t NumReducibleLearnts() const {
-    return learnts_mid_.size() + learnts_local_.size();
-  }
 
   // --- model cache ------------------------------------------------------
   bool ModelWitnesses(const std::vector<Lbool>& m,
@@ -891,7 +777,7 @@ class Solver {
   std::vector<uint32_t> arena_tmp_;
 
   // Persistent occurrence index over the problem clauses (maintained
-  // whenever inprocessing or BVE is on): occur_[v] lists every arena
+  // when use_inprocessing is on): occur_[v] lists every arena
   // clause containing v in clause-addition order, appended at AddClause,
   // purged lazily when dead entries are scanned, and rebuilt exactly —
   // same order — by GarbageCollect.
@@ -941,42 +827,6 @@ class Solver {
   uint64_t sls_verified_epoch_ = 0;
   bool sls_bin_log_overflow_ = false;
   std::vector<std::pair<Lit, Lit>> sls_new_bins_;
-
-  // Bounded variable elimination state. The stack records every clause
-  // removed with its variable; ExtendModel replays it newest-first to
-  // give eliminated variables exact model values.
-  std::vector<uint8_t> eliminable_;   // per var: MarkEliminable called
-  std::vector<uint8_t> eliminated_;   // per var: resolved away
-  std::vector<Var> elim_candidates_;  // marked, not yet eliminated
-  struct ElimRecord {
-    Var v;
-    std::vector<std::vector<Lit>> clauses;
-  };
-  std::vector<ElimRecord> elim_stack_;
-
-  // Portfolio state. The mirror op log records, while portfolio is
-  // enabled, every external AddClause and FreezeScope in call order —
-  // exactly what SyncTeam replays into the helpers before a race (BVE
-  // resolvents and imports go through AddClauseInternal and are
-  // deliberately NOT logged: helpers derive their own). The race-scoped
-  // pointers below are non-null only while this solver is a worker in a
-  // running race; Reset() tears all of it down.
-  struct MirrorOp {
-    bool is_freeze = false;
-    Lit act = kLitUndef;     // freeze only
-    std::vector<Lit> lits;   // clause literals
-    std::vector<Var> vars;   // freeze scope vars
-  };
-  std::vector<MirrorOp> mirror_log_;
-  std::unique_ptr<PortfolioTeam> team_;
-  const std::atomic<uint8_t>* stop_flag_ = nullptr;
-  ClauseShareRing* share_ring_ = nullptr;
-  ClauseExportBuf* export_buf_ = nullptr;
-  int share_worker_ = -1;
-  // Defer-gate conflict cap (absolute, against stats_.conflicts; < 0 =
-  // none). Unlike options_.max_conflicts this is transient: SolveInternal
-  // sets it for the master's solo phase and clears it before racing.
-  int64_t conflict_cap_ = -1;
 };
 
 /// \brief A batch of temporary variables and clauses on a persistent

@@ -8,28 +8,11 @@
 namespace ccr {
 namespace service {
 
-Result<sat::SolverOptions> SolverOptionsForPreset(const std::string& preset) {
-  sat::SolverOptions options;
-  if (preset == "modern" || preset == "sls") return options;
-  if (preset == "legacy") return sat::SolverOptions::LegacyHeuristics();
-  if (preset == "nogc") {
-    options.use_arena_gc = false;
-    options.use_bve = false;
-    return options;
-  }
-  if (preset == "nosls") {
-    options.use_sls_seeding = false;
-    options.use_sls_probing = false;
-    return options;
-  }
-  return Status::InvalidArgument("unknown solver preset '" + preset + "'");
-}
-
 Result<ResolveOptions> MakeResolveOptions(const EngineConfig& engine,
                                           SessionScratch* scratch) {
   ResolveOptions options;
   CCR_ASSIGN_OR_RETURN(options.solver,
-                       SolverOptionsForPreset(engine.solver_preset));
+                       sat::SolverOptionsForPreset(engine.solver_preset));
   options.naive_deduce = engine.naive_deduce;
   options.scratch = scratch;
   return options;

@@ -35,10 +35,6 @@ struct RoundOutcome {
   std::vector<int> derivable_attrs;
 };
 
-/// Maps ccr_experiment's --solver vocabulary (modern | legacy | nogc |
-/// sls | nosls) to SolverOptions; rejects unknown names.
-Result<sat::SolverOptions> SolverOptionsForPreset(const std::string& preset);
-
 /// ResolveOptions for a service session: preset solver, optional naive
 /// deduction, borrowed per-worker scratch (may be null).
 Result<ResolveOptions> MakeResolveOptions(const EngineConfig& engine,

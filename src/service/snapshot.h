@@ -36,8 +36,8 @@ inline constexpr int kSnapshotSchemaVersion = 1;
 /// but pinning them keeps rehydrated sessions bit-comparable in the
 /// equivalence gates (and honors what the client asked for at OPEN).
 struct EngineConfig {
-  /// One of modern | legacy | nogc | sls | nosls (ccr_experiment's
-  /// --solver vocabulary; "sls" is an alias of the default).
+  /// A name from sat::SolverPresets() (ccr_experiment's --solver
+  /// vocabulary; "sls" is an alias of the default).
   std::string solver_preset = "modern";
   bool naive_deduce = false;
 };

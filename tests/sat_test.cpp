@@ -271,8 +271,9 @@ TEST(SolverTest, MinimizationStaleSeenRegression) {
 // Random 3-SAT cross-checked against brute force under every feature
 // configuration — the classic MiniSat toggles plus each modernization
 // flag (binary watches, LBD tiers, EMA restarts, deep ccmin, witness
-// cache) and a mid-stream Simplify() variant that exercises the
-// inprocessing passes on half-loaded formulas.
+// cache), a mid-stream Simplify() variant that exercises the
+// inprocessing passes on half-loaded formulas, and follow-up solves
+// under random assumptions.
 struct FuzzParams {
   bool vsids = true;
   bool phase_saving = true;
@@ -286,7 +287,7 @@ struct FuzzParams {
   bool model_cache = true;
   bool simplify_midway = false;  // feed half, Simplify (inprocess), rest
   bool eager_gc = false;         // gc_frac = 0: compact at every chance
-  bool mark_eliminable = false;  // BVE a third of the vars, then solve
+  bool assume = false;           // then re-solve under random assumptions
   bool sls_seed = false;         // run SeedFromLocalSearch before Solve
 };
 
@@ -300,7 +301,7 @@ TEST_P(SolverFuzzTest, MatchesBruteForce) {
           (p.ema_restarts ? 64 : 0) + (p.deep_ccmin ? 128 : 0) +
           (p.inprocessing ? 1024 : 0) + (p.model_cache ? 256 : 0) +
           (p.simplify_midway ? 512 : 0) + (p.eager_gc ? 2048 : 0) +
-          (p.mark_eliminable ? 4096 : 0) + (p.sls_seed ? 8192 : 0));
+          (p.assume ? 4096 : 0) + (p.sls_seed ? 8192 : 0));
   int sat_count = 0, unsat_count = 0;
   for (int round = 0; round < 150; ++round) {
     const int n_vars = 3 + static_cast<int>(rng.Below(10));
@@ -350,12 +351,6 @@ TEST_P(SolverFuzzTest, MatchesBruteForce) {
     } else {
       solver.AddCnf(cnf);
     }
-    if (p.mark_eliminable && alive) {
-      // Resolve away a third of the variables; answers and models (via
-      // the reconstruction stack) must still match the full formula.
-      for (Var v = 0; v < cnf.num_vars(); v += 3) solver.MarkEliminable(v);
-      alive = solver.Simplify();
-    }
     if (p.sls_seed && alive) {
       // Local-search warm start: rewrites saved phases and may push a
       // witness into the model pool, but the verdict below must still
@@ -373,6 +368,32 @@ TEST_P(SolverFuzzTest, MatchesBruteForce) {
       EXPECT_TRUE(ModelSatisfies(cnf, solver)) << "round " << round;
     } else {
       ++unsat_count;
+    }
+    if (!p.assume) continue;
+    // The incremental path: several assumption solves on the same solver
+    // (the model cache answers some of them). Each verdict must match
+    // brute force over the formula plus the assumptions as units, and an
+    // UNSAT core — the negations of a conflicting assumption subset —
+    // must itself be inconsistent with the formula.
+    for (int q = 0; q < 4; ++q) {
+      std::vector<Lit> assumptions;
+      Cnf assumed = cnf;
+      const int n_assume = 1 + static_cast<int>(rng.Below(3));
+      for (int k = 0; k < n_assume; ++k) {
+        const Lit a(static_cast<Var>(rng.Below(n_vars)), rng.Chance(0.5));
+        assumptions.push_back(a);
+        assumed.AddUnit(a);
+      }
+      const SolveResult r = solver.SolveWithAssumptions(assumptions);
+      ASSERT_EQ(r == SolveResult::kSat, BruteForceSat(assumed))
+          << "round " << round << " query " << q;
+      if (r == SolveResult::kSat) {
+        EXPECT_TRUE(ModelSatisfies(assumed, solver)) << "round " << round;
+      } else if (!solver.IsUnsatForever()) {
+        Cnf core = cnf;
+        for (Lit l : solver.FailedAssumptions()) core.AddUnit(~l);
+        EXPECT_FALSE(BruteForceSat(core)) << "round " << round;
+      }
     }
   }
   // The distribution must exercise both outcomes.
@@ -398,15 +419,11 @@ INSTANTIATE_TEST_SUITE_P(
         // half-loaded inprocessing path.
         FuzzParams{.eager_gc = true},
         FuzzParams{.simplify_midway = true, .eager_gc = true},
-        // Bounded variable elimination, with and without eager GC over
-        // the freshly rewritten arena.
-        FuzzParams{.mark_eliminable = true},
-        FuzzParams{.eager_gc = true, .mark_eliminable = true},
+        // Incremental assumption solves after the plain one.
+        FuzzParams{.assume = true},
         // SLS-seeded lanes: a local-search pass before every Solve, alone
-        // and stacked on BVE (eliminated vars must stay off-limits to the
-        // flip loop) and on the half-loaded inprocessing path.
+        // and on the half-loaded inprocessing path.
         FuzzParams{.sls_seed = true},
-        FuzzParams{.mark_eliminable = true, .sls_seed = true},
         FuzzParams{.simplify_midway = true, .sls_seed = true},
         // Fully legacy: the 2003-era solver this repo started from.
         FuzzParams{.vsids = false, .phase_saving = false, .restarts = false,

@@ -312,7 +312,8 @@ TEST(SnapshotReplayTest, EvictEveryRoundYieldsByteIdenticalExperimentResult) {
 TEST(SnapshotReplayTest, ReplayHonorsSolverPreset) {
   const Dataset ds = SmallPersonCorpus();
   SessionSnapshot snap = MakeSnapshot(ds, 3);
-  for (const char* preset : {"modern", "legacy", "nogc", "sls", "nosls"}) {
+  for (const sat::SolverPreset& p : sat::SolverPresets()) {
+    const std::string preset(p.name);
     snap.engine.solver_preset = preset;
     auto replayed = ReplaySnapshot(snap, nullptr);
     ASSERT_TRUE(replayed.ok()) << preset;
@@ -325,7 +326,7 @@ TEST(SnapshotReplayTest, ReplayHonorsSolverPreset) {
     const RoundOutcome want = RunSessionRound(&baseline.value());
     EXPECT_EQ(RoundOutcomeToJson(want), RoundOutcomeToJson(out)) << preset;
   }
-  EXPECT_FALSE(SolverOptionsForPreset("quantum").ok());
+  EXPECT_FALSE(sat::SolverOptionsForPreset("quantum").ok());
 }
 
 TEST(SnapshotReplayTest, ReplayReusesScratch) {

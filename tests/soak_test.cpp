@@ -4,7 +4,7 @@
 //     mark within 2x of the live clause words,
 //   * change no result whatsoever — every validity verdict, every deduced
 //     order, and the serialized ExperimentResult bytes are identical with
-//     arena GC + BVE on, off, or maximally eager,
+//     arena GC on, off, or maximally eager,
 //   * keep the incremental model cache effective across relocations, and
 //   * never fall back to a session rebuild.
 //
@@ -59,7 +59,6 @@ struct SoakOutcome {
   int64_t gc_runs = 0;
   int64_t reclaimed_words = 0;
   int64_t model_cache_hits = 0;
-  int64_t bve_eliminated = 0;
   int rebuilds = 0;
   std::vector<bool> valid_by_round;
   // Closure of every Deduce() call, flattened as (call, attr, u, v).
@@ -73,7 +72,6 @@ SoakOutcome RunSoak(const Specification& spec,
   ResolveOptions opts;
   opts.naive_deduce = true;  // Lemma-6 churn on the persistent solver
   opts.solver.use_arena_gc = lifecycle_on;
-  opts.solver.use_bve = lifecycle_on;
   // The answer-round dead fraction plateaus near ~20% of the arena, so
   // the production trigger (0.25) would coast at this scale; 0.10 makes
   // the collector genuinely run. `eager` compacts at every opportunity.
@@ -131,7 +129,6 @@ SoakOutcome RunSoak(const Specification& spec,
   out.gc_runs = solver.stats().gc_runs;
   out.reclaimed_words = solver.stats().gc_reclaimed_words;
   out.model_cache_hits = solver.stats().model_cache_hits;
-  out.bve_eliminated = solver.stats().bve_eliminated;
   out.rebuilds = session->rebuilds();
   out.ok = true;
   return out;
@@ -219,7 +216,6 @@ TEST(SessionSoakTest, ExperimentBytesAreIdenticalAcrossLifecycleConfigs) {
     eopts.max_rounds = 3;
     eopts.answers_per_round = 1;
     eopts.resolve.solver.use_arena_gc = lifecycle_on;
-    eopts.resolve.solver.use_bve = lifecycle_on;
     eopts.resolve.solver.gc_frac = gc_frac;
     return ExperimentResultToJson(RunExperiment(ds, eopts), json_opts);
   };

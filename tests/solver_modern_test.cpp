@@ -127,17 +127,13 @@ TEST(SolverAblationEquivalenceTest, EveryOptionComboResolvesIdentically) {
                                                   true, true, true, false)),
               baseline)
         << kind << " modern, no cache";
-    // Collector pressure extremes: compact at every opportunity
-    // (gc_frac = 0 fires on the first dead word) and bounded variable
-    // elimination off — the arena lifecycle may never move a result.
+    // Collector pressure extreme: compact at every opportunity
+    // (gc_frac = 0 fires on the first dead word) — the arena lifecycle
+    // may never move a result.
     SolverOptions eager_gc;
     eager_gc.gc_frac = 0.0;
     EXPECT_EQ(ResolveCorpusToJson(ds, eager_gc), baseline)
         << kind << " eager gc";
-    SolverOptions no_bve;
-    no_bve.use_bve = false;
-    EXPECT_EQ(ResolveCorpusToJson(ds, no_bve), baseline)
-        << kind << " bve off";
   }
 }
 
@@ -399,46 +395,6 @@ TEST(ClauseActivityTest, ActivityDrivenDeletionSurvivesStrictAliasing) {
   s.AddCnf(cnf);
   ASSERT_EQ(s.Solve(), SolveResult::kUnsat);
   EXPECT_GT(s.stats().conflicts, 100);  // real bump/decay/delete traffic
-}
-
-TEST(BveTest, EliminatedVarIsResolvedAwayAndModelExtends) {
-  Solver s;  // use_bve on by default
-  const Var a = s.NewVar(), b = s.NewVar(), c = s.NewVar();
-  ASSERT_TRUE(s.AddClause({Lit::Pos(a), Lit::Pos(b)}));
-  ASSERT_TRUE(s.AddClause({Lit::Neg(a), Lit::Pos(c)}));
-  s.MarkEliminable(a);
-  ASSERT_TRUE(s.Simplify());
-  ASSERT_TRUE(s.VarEliminated(a));
-  EXPECT_GE(s.stats().bve_eliminated, 1);
-  // The resolvent (b ∨ c) must constrain the reduced formula...
-  EXPECT_EQ(s.SolveWithAssumptions({Lit::Neg(b), Lit::Neg(c)}),
-            SolveResult::kUnsat);
-  // ...and a full solve must reconstruct a value for the eliminated
-  // variable that satisfies the ORIGINAL clauses.
-  ASSERT_EQ(s.SolveWithAssumptions({Lit::Neg(c)}), SolveResult::kSat);
-  EXPECT_TRUE(s.ModelValue(b));
-  EXPECT_FALSE(s.ModelValue(a));  // (¬a ∨ c) with c false forces ¬a
-  ASSERT_EQ(s.SolveWithAssumptions({Lit::Neg(b)}), SolveResult::kSat);
-  EXPECT_TRUE(s.ModelValue(a));  // (a ∨ b) with b false forces a
-  EXPECT_TRUE(s.ModelValue(c));
-}
-
-TEST(BveTest, GrowthRuleKeepsDenseVars) {
-  Solver s;
-  const Var x = s.NewVar();
-  std::vector<Var> others;
-  // 5 positive x 5 negative occurrences -> 25 resolvents > 10 originals:
-  // the no-growth rule must refuse.
-  for (int i = 0; i < 5; ++i) {
-    const Var p = s.NewVar(), q = s.NewVar(), r = s.NewVar(), t = s.NewVar();
-    others.insert(others.end(), {p, q, r, t});
-    ASSERT_TRUE(s.AddClause({Lit::Pos(x), Lit::Pos(p), Lit::Pos(q)}));
-    ASSERT_TRUE(s.AddClause({Lit::Neg(x), Lit::Pos(r), Lit::Pos(t)}));
-  }
-  s.MarkEliminable(x);
-  ASSERT_TRUE(s.Simplify());
-  EXPECT_FALSE(s.VarEliminated(x));
-  ASSERT_EQ(s.Solve(), SolveResult::kSat);
 }
 
 TEST(LbdTierTest, TieredCountersPopulateOnConflictHeavySearch) {

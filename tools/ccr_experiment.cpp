@@ -41,9 +41,8 @@ struct CliOptions {
   double sigma_fraction = 1.0;
   double gamma_fraction = 1.0;
   std::string engine = "session";  // session (default) | legacy
-  std::string solver = "modern";   // modern (default) | legacy heuristics
+  std::string solver = "modern";   // a sat::SolverPresets() name
   std::string deduce = "fast";     // fast (default) | naive (Lemma-6 solves)
-  int portfolio = 0;               // >1 = portfolio workers per solve
   bool include_timings = true;
   bool reuse_allocations = true;
   bool solver_stats = false;
@@ -79,9 +78,9 @@ void PrintUsage(std::FILE* to) {
                "                    restarts, deep ccmin, inprocessing;\n"
                "                    default) | legacy (all five off; the\n"
                "                    MiniSat-2003 heuristics) | nogc (modern\n"
-               "                    with arena GC and variable elimination\n"
-               "                    off) | sls (alias of modern; the SLS\n"
-               "                    warm starts are on by default) | nosls\n"
+               "                    with arena GC off) | sls (alias of\n"
+               "                    modern; the SLS warm starts are on by\n"
+               "                    default) | nosls\n"
                "                    (modern with local-search seeding and\n"
                "                    MaxSAT probing off) | nobackbone\n"
                "                    (modern with the backbone Deduce engine\n"
@@ -92,11 +91,6 @@ void PrintUsage(std::FILE* to) {
                "                    | naive (exact Lemma-6 solver queries;\n"
                "                    the solver-bound pipeline the backbone\n"
                "                    engine accelerates)\n"
-               "  --portfolio N     race N diversified CDCL workers per\n"
-               "                    solve with learnt-clause sharing\n"
-               "                    (default 0 = single-threaded; sharing\n"
-               "                    changes time-to-verdict, never results,\n"
-               "                    so output stays bit-identical)\n"
                "  --solver-stats    dump pooled per-phase solver statistics\n"
                "                    (conflicts, binary propagations, glue,\n"
                "                    tier/inprocessing counters) on stderr\n"
@@ -169,13 +163,13 @@ int ParseArgs(int argc, char** argv, CliOptions* opts) {
     if (arg == "--solver") {
       const char* v = next_value("--solver");
       if (v == nullptr) return 2;
-      if (std::string(v) != "modern" && std::string(v) != "legacy" &&
-          std::string(v) != "nogc" && std::string(v) != "sls" &&
-          std::string(v) != "nosls" && std::string(v) != "nobackbone") {
-        std::fprintf(stderr,
-                     "--solver wants modern|legacy|nogc|sls|nosls|nobackbone,"
-                     " got %s\n",
-                     v);
+      if (!sat::SolverOptionsForPreset(v).ok()) {
+        std::string names;
+        for (const sat::SolverPreset& p : sat::SolverPresets()) {
+          if (!names.empty()) names += '|';
+          names += p.name;
+        }
+        std::fprintf(stderr, "--solver wants %s, got %s\n", names.c_str(), v);
         return 2;
       }
       opts->solver = v;
@@ -224,8 +218,7 @@ int ParseArgs(int argc, char** argv, CliOptions* opts) {
     }
     if (arg == "--entities" || arg == "--min-tuples" ||
         arg == "--max-tuples" || arg == "--threads" || arg == "--rounds" ||
-        arg == "--answers-per-round" || arg == "--seed" ||
-        arg == "--portfolio") {
+        arg == "--answers-per-round" || arg == "--seed") {
       const char* v = next_value(arg.c_str());
       if (v == nullptr) return 2;
       long long n = 0;
@@ -234,7 +227,7 @@ int ParseArgs(int argc, char** argv, CliOptions* opts) {
       // would make RunExperiment size vectors with max_rounds + 1 < 0).
       long long min_ok = 1;
       if (arg == "--rounds" || arg == "--min-tuples" ||
-          arg == "--max-tuples" || arg == "--seed" || arg == "--portfolio") {
+          arg == "--max-tuples" || arg == "--seed") {
         min_ok = 0;
       }
       const long long max_ok =
@@ -254,7 +247,6 @@ int ParseArgs(int argc, char** argv, CliOptions* opts) {
         opts->answers_per_round = static_cast<int>(n);
       }
       if (arg == "--seed") opts->seed = static_cast<uint64_t>(n);
-      if (arg == "--portfolio") opts->portfolio = static_cast<int>(n);
       continue;
     }
     if (arg == "--sigma" || arg == "--gamma") {
@@ -364,12 +356,9 @@ void DumpSolverStats(const ExperimentResult& r) {
                  "\"learnt_local\": %lld, \"subsumed\": %lld, "
                  "\"vivified\": %lld, \"model_cache_hits\": %lld, "
                  "\"gc_runs\": %lld, \"gc_reclaimed_words\": %lld, "
-                 "\"bve_eliminated\": %lld, \"bve_resolvents\": %lld, "
                  "\"sls_flips\": %lld, \"sls_seeded_models\": %lld, "
                  "\"sls_probes\": %lld, \"sls_probe_wins\": %lld, "
-                 "\"portfolio_races\": %lld, \"imported_units\": %lld, "
-                 "\"imported_bins\": %lld, \"imported_lbd\": %lld, "
-                 "\"cancelled_workers\": %lld, \"deduce_queries\": %lld, "
+                 "\"deduce_queries\": %lld, "
                  "\"deduce_model_prunes\": %lld, "
                  "\"deduce_propagation_proofs\": %lld, "
                  "\"deduce_chunk_solves\": %lld}%s\n",
@@ -389,17 +378,10 @@ void DumpSolverStats(const ExperimentResult& r) {
                  static_cast<long long>(s.model_cache_hits),
                  static_cast<long long>(s.gc_runs),
                  static_cast<long long>(s.gc_reclaimed_words),
-                 static_cast<long long>(s.bve_eliminated),
-                 static_cast<long long>(s.bve_resolvents),
                  static_cast<long long>(s.sls_flips),
                  static_cast<long long>(s.sls_seeded_models),
                  static_cast<long long>(s.sls_probes),
                  static_cast<long long>(s.sls_probe_wins),
-                 static_cast<long long>(s.portfolio_races),
-                 static_cast<long long>(s.imported_units),
-                 static_cast<long long>(s.imported_bins),
-                 static_cast<long long>(s.imported_lbd),
-                 static_cast<long long>(s.cancelled_workers),
                  static_cast<long long>(s.deduce_queries),
                  static_cast<long long>(s.deduce_model_prunes),
                  static_cast<long long>(s.deduce_propagation_proofs),
@@ -428,36 +410,9 @@ int RunShard(const CliOptions& o) {
   eopts.num_threads = o.threads;
   eopts.reuse_allocations = o.reuse_allocations;
   eopts.resolve.use_session = o.engine == "session";
-  if (o.solver == "legacy") {
-    eopts.resolve.solver = sat::SolverOptions::LegacyHeuristics();
-  } else if (o.solver == "nogc") {
-    // Modern heuristics with the arena lifecycle features off: the
-    // byte-identity lane that proves GC/BVE never change results.
-    eopts.resolve.solver.use_arena_gc = false;
-    eopts.resolve.solver.use_bve = false;
-  } else if (o.solver == "nosls") {
-    // Modern heuristics without the local-search warm starts: the
-    // byte-identity lane (and the bench baseline) that proves SLS only
-    // changes time-to-verdict. "sls" is an alias of the default.
-    eopts.resolve.solver.use_sls_seeding = false;
-    eopts.resolve.solver.use_sls_probing = false;
-  } else if (o.solver == "nobackbone") {
-    // Modern heuristics with the per-pair Lemma-6 loop instead of the
-    // backbone engine: the byte-identity lane that proves model sweeping
-    // and chunked certification return exactly the naive pair set. Only
-    // observable on the --deduce naive pipeline.
-    eopts.resolve.solver.use_backbone_deduce = false;
-  }
+  // Validated at parse time.
+  eopts.resolve.solver = sat::SolverOptionsForPreset(o.solver).value();
   eopts.resolve.naive_deduce = o.deduce == "naive";
-  if (o.portfolio > 1) {
-    // The byte-identity lane for parallel search: verdicts may not depend
-    // on which worker wins or what clauses were shared. Defer gate zero
-    // makes every solve race — the pipeline's per-round solves are small
-    // enough that the default gate would let them all finish inside the
-    // sequential warm-up and the lane would test nothing.
-    eopts.resolve.solver.portfolio_threads = o.portfolio;
-    eopts.resolve.solver.portfolio_defer_conflicts = 0;
-  }
   const std::vector<int> indices = ShardIndices(
       static_cast<int>(ds.entities.size()), o.shard, o.num_shards);
   ExperimentResult result;
