@@ -17,17 +17,17 @@
 //     (no Φ(Se) copy, no fresh solver), the legacy engine re-loads Φ(Se)
 //     into a throwaway solver every round. Also reports the session's
 //     total rebuild count, which selector-guarded CFDs pin at zero.
-//   * "solver_ablation": modern CDCL heuristics (implicit binary watches,
-//     LBD-tiered learnt DB, EMA restarts, deep conflict-clause
-//     minimization, between-round inprocessing) vs. the legacy
-//     MiniSat-2003 configuration, both on the session engine, measured as
-//     end-to-end Resolve wall time over the same >= 1k-tuple Person
-//     entities driven through the NaiveDeduce pipeline (the Fig. 8(b)
-//     baseline: deduction = thousands of Lemma-6 assumption solves on the
-//     persistent solver — the most solver-bound configuration the
-//     framework has, so the solver upgrade is what the ratio measures).
-//     Checks both configurations resolve identically: the pipeline
-//     consumes only SAT verdicts, so heuristics cannot change results.
+//   * "solver_ablation": the default solver vs. every optional solver
+//     engine off (the legacy preset: no inprocessing, model cache, arena
+//     GC, local search or backbone Deduce; the same CDCL search), both on
+//     the session engine, measured as end-to-end Resolve wall time over
+//     the same >= 1k-tuple Person entities driven through the NaiveDeduce
+//     pipeline (the Fig. 8(b) baseline: deduction = thousands of Lemma-6
+//     assumption solves on the persistent solver — the most solver-bound
+//     configuration the framework has, so the engines are what the ratio
+//     measures). Checks both configurations resolve identically: the
+//     pipeline consumes only SAT verdicts, so the engines cannot change
+//     results.
 //   * "thread_scaling": the entity pool measured as a real speedup
 //     curve at {1, 2, N} threads (N = CCR_BENCH_THREADS, default
 //     hardware_concurrency), each point the minimum of 3 reps. The
@@ -307,7 +307,7 @@ int main() {
   const double suggest_speedup =
       session_suggest_ms > 0 ? legacy_suggest_ms / session_suggest_ms : 0.0;
 
-  // --- solver ablation: modern vs legacy CDCL heuristics -----------------
+  // --- solver ablation: defaults vs every optional engine off ------------
   ResolveOptions modern_sat;
   modern_sat.naive_deduce = true;  // Lemma-6 solver-bound deduction
   modern_sat.max_rounds = 3;

@@ -12,8 +12,8 @@
 #     performed any session rebuild (selector-guarded CFDs pin this at 0),
 #     or fell below its own speedup floor (CCR_BENCH_SUGGEST_FLOOR,
 #     default 1.3 — the full-size run measures >= 2x), or
-#   * the solver ablation (modern CDCL heuristics vs the legacy
-#     MiniSat-2003 configuration, on the solver-bound NaiveDeduce
+#   * the solver ablation (the default solver vs every optional solver
+#     engine off, on the solver-bound NaiveDeduce
 #     pipeline) reported non-identical resolutions or fell below its
 #     floor (CCR_BENCH_SOLVER_FLOOR, default 1.2 — the full-size run
 #     measures >= 5x), or

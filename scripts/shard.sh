@@ -9,16 +9,17 @@
 #
 # Every run uses ccr_experiment's default engine — the persistent-solver
 # session engine (incremental MaxSAT Suggest, selector-guarded CFDs) with
-# the default modern solver heuristics, which means the cross-engine
+# every optional solver engine on, which means the cross-engine
 # byte-identity below runs with between-round inprocessing enabled. As a
 # second exactness gate, the single-process corpus is also resolved with
 # --engine legacy (re-encode every round) and must serialize to the same
 # bytes: the two engines are interchangeable, shard by shard. A third gate
-# does the same for the solver: --solver legacy (arena binaries, Luby
-# restarts, one-step minimization, no inprocessing, no model cache) must
-# be byte-identical too — the pipeline consumes only SAT verdicts, so
-# solver heuristics can never change a resolution. A fourth gate runs
-# --solver nogc (arena GC off, modern heuristics otherwise): compaction
+# does the same for the solver: --solver legacy (every optional solver
+# engine off — no inprocessing, model cache, arena GC, local search or
+# backbone Deduce — around the same CDCL search) must be byte-identical
+# too — the pipeline consumes only SAT verdicts, so the solver engines
+# can never change a resolution. A fourth gate runs
+# --solver nogc (arena GC off, every other engine on): compaction
 # relocates clauses, and that may not move a single result byte. A fifth
 # gate runs --solver nosls (local-search seeding and MaxSAT upper-bound
 # probing off): SLS reorders which models CDCL finds and which bound the
@@ -91,14 +92,14 @@ else
   exit 1
 fi
 
-echo "Cross-solver exactness: modern heuristics (default, inprocessing" \
-     "on) vs --solver legacy..."
+echo "Cross-solver exactness: every solver engine on (default) vs" \
+     "--solver legacy (every engine off)..."
 "$BIN" "${FLAGS[@]}" --solver legacy --no-timings \
   --out "$WORK_DIR/legacy_solver.json"
 if cmp "$WORK_DIR/legacy_solver.json" "$WORK_DIR/single.json"; then
-  echo "OK: legacy-heuristics run is byte-identical to the modern run"
+  echo "OK: legacy-preset run is byte-identical to the default run"
 else
-  echo "FAIL: legacy-heuristics result differs from the modern solver" >&2
+  echo "FAIL: legacy-preset result differs from the default solver" >&2
   diff "$WORK_DIR/legacy_solver.json" "$WORK_DIR/single.json" >&2 || true
   exit 1
 fi

@@ -314,17 +314,12 @@ DeducedOrders BackboneDeduceShared(const Instantiation& inst,
         for (const Cand& c : chunk) {
           (void)od.per_attr[c.attr].Add(c.less, c.more);
         }
-      } else if (r == sat::SolveResult::kSat) {
+      } else {
         // A genuine model of Φ(Se) ∧ guards (the scope literals only
         // strengthen it): sweep the unresolved chunk members together
         // with the rest of the frontier.
         frontier.insert(frontier.end(), chunk.begin(), chunk.end());
         sweep_current_model();
-      } else {
-        // Conflict budget exhausted (kUnknown): like the naive loop,
-        // an undecided query never claims entailment. Stop here rather
-        // than spin on a chunk that will not resolve.
-        break;
       }
     }
   }

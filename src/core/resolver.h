@@ -85,7 +85,7 @@ struct RoundTrace {
   /// 0 for the legacy engine, whose throwaway solvers are not traced.
   int64_t num_assumption_solves = 0;
   /// Per-phase session-solver statistics deltas (conflicts, binary
-  /// propagations, glue sums, learnt-tier and inprocessing counters).
+  /// propagations, learnt literals and inprocessing counters).
   /// `encode_solver` covers the extension that produced this round —
   /// clause feeding plus the between-round Simplify, which is where the
   /// inprocessing (subsumed/vivified) counters accrue. All four are zero

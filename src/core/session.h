@@ -132,7 +132,7 @@ class ResolutionSession {
   }
   /// Cumulative statistics of the session solver. Resolve diffs these
   /// around each phase call to stamp per-phase deltas (binary
-  /// propagations, glue sums, tier/inprocessing counters) into the
+  /// propagations, learnt literals, inprocessing counters) into the
   /// RoundTrace.
   const sat::SolverStats& solver_stats() const { return solver_->stats(); }
   /// The persistent session solver, read-only. Soak tests and the bench

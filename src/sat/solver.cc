@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <climits>
-#include <cmath>
 #include <string>
 
 #include "src/common/rng.h"
@@ -12,13 +11,12 @@ namespace ccr::sat {
 
 namespace {
 
-// Glucose-style restart tuning: restart when the short-term glue average
-// exceeds the long-term one by this margin, but never within the first
-// kEmaMinConflicts conflicts of a restart (the EMAs need samples first).
-constexpr double kEmaFastAlpha = 1.0 / 32.0;
-constexpr double kEmaSlowAlpha = 1.0 / 4096.0;
-constexpr double kEmaRestartMargin = 1.25;
-constexpr int64_t kEmaMinConflicts = 32;
+// VSIDS: variable and learnt-clause activity increments grow by 1/decay
+// per conflict, so older bumps fade geometrically (MiniSat's defaults).
+constexpr double kVarDecay = 0.95;
+constexpr double kClauseDecay = 0.999;
+// Restart after kRestartBase * Luby(i) conflicts in the i-th search run.
+constexpr int64_t kRestartBase = 100;
 
 // Inprocessing budgets per Simplify() call, so the between-round pass
 // stays a small fraction of the round's solve time even on the first call
@@ -38,6 +36,11 @@ constexpr uint32_t kMovedHeader = 7;
 constexpr int64_t kSlsFlipsBase = 256;
 constexpr int64_t kSlsFlipsPerVar = 1;
 constexpr int64_t kSlsFlipsCap = 1 << 13;
+// Tries per pass (try 0 starts from the saved phases, later tries from a
+// random assignment) and the WalkSAT noise: the probability of a random
+// rather than greedy minimum-break flip in a step with no freebie move.
+constexpr int kSlsTries = 2;
+constexpr double kSlsNoise = 0.5;
 // Greedy repair (the middle tier between "phases are already a model"
 // and the full WalkSAT search): only attempted when the evaluation scan
 // finds at most kSlsRepairMaxUnsat falsified clauses, and bounded to
@@ -129,9 +132,7 @@ void Solver::Reset(SolverOptions options) {
   sls_verified_epoch_ = 0;
   sls_bin_log_overflow_ = false;
   sls_new_bins_.clear();
-  learnts_core_.clear();
-  learnts_mid_.clear();
-  learnts_local_.clear();
+  learnts_.clear();
   // Keep the outer vectors (and each inner list's buffer); NewVar re-adopts
   // the lists as the variable universe regrows.
   for (std::vector<Watcher>& ws : watches_) ws.clear();
@@ -153,18 +154,10 @@ void Solver::Reset(SolverOptions options) {
   heap_.clear();
   heap_pos_.clear();
   seen_.clear();
-  analyze_stack_.clear();
   analyze_toclear_.clear();
-  lbd_stamp_.clear();
-  lbd_counter_ = 0;
   model_.clear();
   conflict_core_.clear();
-  ema_fast_ = 0;
-  ema_slow_ = 0;
-  ema_seeded_ = false;
-  conflicts_since_restart_ = 0;
   max_learnts_ = 0;
-  reduce_calls_ = 0;
   inproc_watermark_ = 0;
   pending_bins_.clear();
   vivify_primed_ = false;
@@ -189,8 +182,8 @@ Solver::ClauseRef Solver::AllocClause(const std::vector<Lit>& lits,
   CCR_CHECK(ref < kRefBinaryFlag);
   arena_.push_back((static_cast<uint32_t>(lits.size()) << 3) |
                    (learnt ? 1u : 0u));
-  arena_.push_back(0);  // activity bits
-  arena_.push_back(0);  // LBD
+  arena_.push_back(0);  // activity bits / sig lo
+  arena_.push_back(0);  // sig hi
   for (Lit l : lits) {
     arena_.push_back(static_cast<uint32_t>(l.index()));
   }
@@ -210,7 +203,7 @@ void Solver::StoreClauseSig(ClauseRef c) {
 }
 
 void Solver::AttachClause(ClauseRef c) {
-  CCR_DCHECK(ClauseSize(c) >= 2);
+  CCR_DCHECK(ClauseSize(c) >= 3);
   const Lit* lits = ClauseLits(c);
   watches_[(~lits[0]).index()].push_back({c, lits[1]});
   watches_[(~lits[1]).index()].push_back({c, lits[0]});
@@ -264,7 +257,7 @@ bool Solver::AddClause(std::vector<Lit> lits) {
     ok_ = (Propagate() == kRefUndef);
     return ok_;
   }
-  if (out.size() == 2 && options_.use_binary_watches) {
+  if (out.size() == 2) {
     // Binaries never touch the arena: they live in the implicit
     // implication lists and propagate with literal-encoded reasons.
     AttachBinary(out[0], out[1]);
@@ -314,26 +307,23 @@ void Solver::UncheckedEnqueue(Lit p, ClauseRef from) {
 
 Solver::ClauseRef Solver::Propagate() {
   ClauseRef conflict = kRefUndef;
-  const bool use_bins = options_.use_binary_watches;
   while (qhead_ < trail_.size()) {
-    if (use_bins) {
-      // Binary-first BFS: drain every pending binary implication before
-      // touching a long clause. Binaries resolve with one contiguous list
-      // scan — no arena access, no watcher juggling.
-      while (bhead_ < trail_.size()) {
-        const Lit bp = trail_[bhead_++];
-        for (const Lit q : bins_[bp.index()]) {
-          const Lbool v = ValueOf(q);
-          if (v == Lbool::kTrue) continue;
-          if (v == Lbool::kFalse) {
-            bin_conflict_[0] = q;
-            bin_conflict_[1] = ~bp;
-            qhead_ = bhead_ = trail_.size();
-            return kRefBinConflict;
-          }
-          ++stats_.binary_propagations;
-          UncheckedEnqueue(q, MakeBinaryRef(~bp));
+    // Binary-first BFS: drain every pending binary implication before
+    // touching a long clause. Binaries resolve with one contiguous list
+    // scan — no arena access, no watcher juggling.
+    while (bhead_ < trail_.size()) {
+      const Lit bp = trail_[bhead_++];
+      for (const Lit q : bins_[bp.index()]) {
+        const Lbool v = ValueOf(q);
+        if (v == Lbool::kTrue) continue;
+        if (v == Lbool::kFalse) {
+          bin_conflict_[0] = q;
+          bin_conflict_[1] = ~bp;
+          qhead_ = bhead_ = trail_.size();
+          return kRefBinConflict;
         }
+        ++stats_.binary_propagations;
+        UncheckedEnqueue(q, MakeBinaryRef(~bp));
       }
     }
     const Lit p = trail_[qhead_++];
@@ -400,38 +390,15 @@ void Solver::ClauseBump(ClauseRef c) {
   const float act = ClauseActivity(c) + static_cast<float>(clause_inc_);
   SetClauseActivity(c, act);
   if (act > 1e20f) {
-    for (ClauseRef l : learnts_core_) {
-      SetClauseActivity(l, ClauseActivity(l) * 1e-20f);
-    }
-    for (ClauseRef l : learnts_mid_) {
-      SetClauseActivity(l, ClauseActivity(l) * 1e-20f);
-    }
-    for (ClauseRef l : learnts_local_) {
+    for (ClauseRef l : learnts_) {
       SetClauseActivity(l, ClauseActivity(l) * 1e-20f);
     }
     clause_inc_ *= 1e-20;
   }
 }
 
-int Solver::ComputeLbd(std::span<const Lit> lits) {
-  if (lbd_stamp_.size() < trail_lim_.size() + 1) {
-    lbd_stamp_.resize(trail_lim_.size() + 1, 0);
-  }
-  ++lbd_counter_;
-  int lbd = 0;
-  for (Lit l : lits) {
-    const int lev = level_[l.var()];
-    if (lev == 0) continue;
-    if (lbd_stamp_[lev] != lbd_counter_) {
-      lbd_stamp_[lev] = lbd_counter_;
-      ++lbd;
-    }
-  }
-  return lbd;
-}
-
 void Solver::Analyze(ClauseRef conflict, std::vector<Lit>* out_learnt,
-                     int* out_btlevel, int* out_lbd) {
+                     int* out_btlevel) {
   int path_count = 0;
   Lit p = kLitUndef;
   out_learnt->clear();
@@ -457,19 +424,7 @@ void Solver::Analyze(ClauseRef conflict, std::vector<Lit>* out_learnt,
       lits = bin_buf;
       size = 2;
     } else {
-      if (ClauseLearnt(c)) {
-        ClauseBump(c);
-        if (options_.use_lbd_tiers) {
-          // Glucose-style dynamic glue: a learnt clause participating in
-          // analysis refreshes its LBD; improvements promote it at the
-          // next ReduceDb.
-          const int now = ComputeLbd(
-              std::span<const Lit>(ClauseLits(c), ClauseSize(c)));
-          if (now > 0 && static_cast<uint32_t>(now) < ClauseLbd(c)) {
-            SetClauseLbd(c, static_cast<uint32_t>(now));
-          }
-        }
-      }
+      if (ClauseLearnt(c)) ClauseBump(c);
       lits = ClauseLits(c);
       size = ClauseSize(c);
     }
@@ -496,56 +451,38 @@ void Solver::Analyze(ClauseRef conflict, std::vector<Lit>* out_learnt,
   } while (path_count > 0);
   (*out_learnt)[0] = ~p;
 
-  // Conflict-clause minimization: drop literals implied by the rest.
-  // Snapshot the pre-minimization literals first: the loops below compact
-  // the clause in place, so dropped literals are overwritten and only this
-  // snapshot can clear their seen_ marks afterwards. A stale seen_ bit
-  // would make every later Analyze skip that variable entirely —
+  // Conflict-clause minimization (one-step): drop a literal when its
+  // reason's other literals are all already in the learnt clause (or at
+  // level 0). Snapshot the pre-minimization literals first: the loop below
+  // compacts the clause in place, so dropped literals are overwritten and
+  // only this snapshot can clear their seen_ marks afterwards. A stale
+  // seen_ bit would make every later Analyze skip that variable entirely —
   // producing learnt clauses that are not implied by the formula.
   std::vector<Lit>& learnt = *out_learnt;
   analyze_toclear_.assign(learnt.begin(), learnt.end());
   size_t keep = 1;
-  if (options_.use_deep_ccmin) {
-    // Recursive (deep) minimization: a literal is redundant if every
-    // antecedent chain from it bottoms out in other learnt literals (or
-    // level 0). The abstract-level filter prunes chains that could only
-    // fail.
-    uint32_t abstract_levels = 0;
-    for (size_t k = 1; k < learnt.size(); ++k) {
-      abstract_levels |= 1u << (level_[learnt[k].var()] & 31);
-    }
-    for (size_t k = 1; k < learnt.size(); ++k) {
-      if (reason_[learnt[k].var()] == kRefUndef ||
-          !LitRedundant(learnt[k], abstract_levels)) {
-        learnt[keep++] = learnt[k];
-      }
-    }
-  } else {
-    // One-step check: redundant if the reason's other literals are all
-    // already in the learnt clause (or level 0).
-    for (size_t k = 1; k < learnt.size(); ++k) {
-      const Var v = learnt[k].var();
-      const ClauseRef r = reason_[v];
-      bool redundant = false;
-      if (r != kRefUndef) {
-        if (RefIsBinary(r)) {
-          const Lit other = RefLit(r);
-          redundant = seen_[other.var()] || level_[other.var()] == 0;
-        } else {
-          redundant = true;
-          const Lit* rl = ClauseLits(r);
-          const int rs = ClauseSize(r);
-          for (int m = 1; m < rs; ++m) {
-            const Var w = rl[m].var();
-            if (!seen_[w] && level_[w] > 0) {
-              redundant = false;
-              break;
-            }
+  for (size_t k = 1; k < learnt.size(); ++k) {
+    const Var v = learnt[k].var();
+    const ClauseRef r = reason_[v];
+    bool redundant = false;
+    if (r != kRefUndef) {
+      if (RefIsBinary(r)) {
+        const Lit other = RefLit(r);
+        redundant = seen_[other.var()] || level_[other.var()] == 0;
+      } else {
+        redundant = true;
+        const Lit* rl = ClauseLits(r);
+        const int rs = ClauseSize(r);
+        for (int m = 1; m < rs; ++m) {
+          const Var w = rl[m].var();
+          if (!seen_[w] && level_[w] > 0) {
+            redundant = false;
+            break;
           }
         }
       }
-      if (!redundant) learnt[keep++] = learnt[k];
     }
+    if (!redundant) learnt[keep++] = learnt[k];
   }
   stats_.learnt_literals += static_cast<int64_t>(keep);
   learnt.resize(keep);
@@ -561,55 +498,9 @@ void Solver::Analyze(ClauseRef conflict, std::vector<Lit>* out_learnt,
     std::swap(learnt[1], learnt[max_i]);
     *out_btlevel = level_[learnt[1].var()];
   }
-  *out_lbd = ComputeLbd(std::span<const Lit>(learnt.data(), learnt.size()));
-  // The snapshot covers every kept literal, every dropped one, and every
-  // mark LitRedundant added.
+  // The snapshot covers every kept literal and every dropped one.
   for (Lit l : analyze_toclear_) seen_[l.var()] = 0;
   analyze_toclear_.clear();
-}
-
-bool Solver::LitRedundant(Lit p, uint32_t abstract_levels) {
-  analyze_stack_.clear();
-  analyze_stack_.push_back(p);
-  const size_t top = analyze_toclear_.size();
-  while (!analyze_stack_.empty()) {
-    const Lit q = analyze_stack_.back();
-    analyze_stack_.pop_back();
-    const ClauseRef r = reason_[q.var()];
-    CCR_DCHECK(r != kRefUndef);
-    // Antecedents of q: the reason clause minus q's own (asserting)
-    // literal — for a binary reason that is exactly the encoded literal.
-    Lit bin_other = kLitUndef;
-    const Lit* lits;
-    int size;
-    if (RefIsBinary(r)) {
-      bin_other = RefLit(r);
-      lits = &bin_other;
-      size = 1;
-    } else {
-      lits = ClauseLits(r) + 1;
-      size = ClauseSize(r) - 1;
-    }
-    for (int k = 0; k < size; ++k) {
-      const Lit l = lits[k];
-      const Var v = l.var();
-      if (seen_[v] || level_[v] == 0) continue;
-      if (reason_[v] != kRefUndef &&
-          ((1u << (level_[v] & 31)) & abstract_levels) != 0) {
-        seen_[v] = 1;
-        analyze_stack_.push_back(l);
-        analyze_toclear_.push_back(l);
-      } else {
-        // Not removable: undo the marks this call added.
-        for (size_t j = top; j < analyze_toclear_.size(); ++j) {
-          seen_[analyze_toclear_[j].var()] = 0;
-        }
-        analyze_toclear_.resize(top);
-        return false;
-      }
-    }
-  }
-  return true;
 }
 
 void Solver::AnalyzeFinal(Lit p, std::vector<Lit>* out_core) {
@@ -645,7 +536,7 @@ void Solver::CancelUntil(int target) {
   for (size_t i = trail_.size(); i-- > keep;) {
     const Var v = trail_[i].var();
     assigns_[v] = Lbool::kUndef;
-    if (options_.use_phase_saving) polarity_[v] = trail_[i].negated();
+    polarity_[v] = trail_[i].negated();
     reason_[v] = kRefUndef;
     if (heap_pos_[v] < 0) HeapInsert(v);
   }
@@ -709,165 +600,66 @@ Var Solver::HeapPop() {
 
 Lit Solver::PickBranchLit() {
   Var next = kVarUndef;
-  if (options_.use_vsids) {
-    while (!HeapEmpty()) {
-      next = HeapPop();
-      if (assigns_[next] == Lbool::kUndef) break;
-      next = kVarUndef;
-    }
-  } else {
-    for (Var v = 0; v < num_vars(); ++v) {
-      if (assigns_[v] == Lbool::kUndef) {
-        next = v;
-        break;
-      }
-    }
+  while (!HeapEmpty()) {
+    next = HeapPop();
+    if (assigns_[next] == Lbool::kUndef) break;
+    next = kVarUndef;
   }
   if (next == kVarUndef) return kLitUndef;
   CCR_DCHECK(!frozen_[next]);
   return Lit(next, polarity_[next]);
 }
 
-void Solver::RecordLearnt(const std::vector<Lit>& learnt, int lbd) {
-  stats_.lbd_sum += lbd;
+void Solver::RecordLearnt(const std::vector<Lit>& learnt) {
   if (learnt.size() == 1) {
     UncheckedEnqueue(learnt[0], kRefUndef);
     return;
   }
-  if (learnt.size() == 2 && options_.use_binary_watches) {
+  if (learnt.size() == 2) {
     AttachBinary(learnt[0], learnt[1]);
     // Recorded only for the LearntClauses() debug accessor; capped so a
     // conflict-heavy production solve cannot grow it without bound.
     if (learnt_binaries_.size() < 4096) {
       learnt_binaries_.emplace_back(learnt[0], learnt[1]);
     }
-    ++stats_.learnt_core;  // binaries are kept forever by construction
     UncheckedEnqueue(learnt[0], MakeBinaryRef(learnt[1]));
     return;
   }
   const ClauseRef c = AllocClause(learnt, /*learnt=*/true);
-  SetClauseLbd(c, static_cast<uint32_t>(std::max(lbd, 1)));
-  if (options_.use_lbd_tiers) {
-    if (lbd <= 2) {
-      learnts_core_.push_back(c);
-      ++stats_.learnt_core;
-    } else if (lbd <= 6) {
-      learnts_mid_.push_back(c);
-      ++stats_.learnt_mid;
-    } else {
-      learnts_local_.push_back(c);
-      ++stats_.learnt_local;
-    }
-  } else {
-    learnts_local_.push_back(c);
-    ++stats_.learnt_local;
-  }
+  learnts_.push_back(c);
   AttachClause(c);
   ClauseBump(c);
   UncheckedEnqueue(learnt[0], c);
 }
 
 void Solver::ReduceDb() {
-  // Legacy single-tier reduction: keep the most active half of learnt
-  // clauses; never drop reasons.
-  std::vector<ClauseRef>& learnts = learnts_local_;
-  std::sort(learnts.begin(), learnts.end(),
+  // Keep the most active half of the learnt clauses; never drop a clause
+  // that is the reason of a current assignment.
+  std::sort(learnts_.begin(), learnts_.end(),
             [this](ClauseRef a, ClauseRef b) {
               return ClauseActivity(a) > ClauseActivity(b);
             });
-  size_t keep = learnts.size() / 2;
-  std::vector<ClauseRef> kept;
-  kept.reserve(keep + 16);
-  for (size_t i = 0; i < learnts.size(); ++i) {
-    const ClauseRef c = learnts[i];
+  const size_t keep = learnts_.size() / 2;
+  size_t j = 0;
+  for (size_t i = 0; i < learnts_.size(); ++i) {
+    const ClauseRef c = learnts_[i];
     const Lit first = ClauseLits(c)[0];
     const bool is_reason = assigns_[first.var()] != Lbool::kUndef &&
                            reason_[first.var()] == c;
-    if (i < keep || ClauseSize(c) == 2 || is_reason) {
-      kept.push_back(c);
+    if (i < keep || is_reason) {
+      learnts_[j++] = c;
     } else {
       DetachClause(c);
       MarkClauseDead(c);
     }
   }
-  learnts.swap(kept);
+  learnts_.resize(j);
 }
 
-void Solver::ReduceDbTiered() {
-  ++reduce_calls_;
-  auto is_reason = [this](ClauseRef c) {
-    const Lit first = ClauseLits(c)[0];
-    return assigns_[first.var()] != Lbool::kUndef &&
-           reason_[first.var()] == c;
-  };
-  // Promote by improved glue (LBDs refreshed during conflict analysis):
-  // glue <= 2 graduates to core from either tier, glue <= 6 lifts local
-  // clauses into mid.
-  auto promote = [&](std::vector<ClauseRef>* list, bool from_local) {
-    size_t j = 0;
-    for (ClauseRef c : *list) {
-      const uint32_t lbd = ClauseLbd(c);
-      if (lbd <= 2) {
-        learnts_core_.push_back(c);
-      } else if (from_local && lbd <= 6) {
-        learnts_mid_.push_back(c);
-      } else {
-        (*list)[j++] = c;
-      }
-    }
-    list->resize(j);
-  };
-  promote(&learnts_mid_, /*from_local=*/false);
-  promote(&learnts_local_, /*from_local=*/true);
-
-  // Local tier: activity-sorted, keep the better half (plus reasons).
-  std::sort(learnts_local_.begin(), learnts_local_.end(),
-            [this](ClauseRef a, ClauseRef b) {
-              return ClauseActivity(a) > ClauseActivity(b);
-            });
-  const size_t local_keep = learnts_local_.size() / 2;
-  std::vector<ClauseRef> kept;
-  kept.reserve(local_keep + 16);
-  for (size_t i = 0; i < learnts_local_.size(); ++i) {
-    const ClauseRef c = learnts_local_[i];
-    if (i < local_keep || is_reason(c)) {
-      kept.push_back(c);
-    } else {
-      DetachClause(c);
-      MarkClauseDead(c);
-    }
-  }
-  learnts_local_.swap(kept);
-
-  // Mid tier: reduced rarely, by glue then activity.
-  if (reduce_calls_ % 3 == 0 && learnts_mid_.size() > 16) {
-    std::sort(learnts_mid_.begin(), learnts_mid_.end(),
-              [this](ClauseRef a, ClauseRef b) {
-                if (ClauseLbd(a) != ClauseLbd(b)) {
-                  return ClauseLbd(a) < ClauseLbd(b);
-                }
-                return ClauseActivity(a) > ClauseActivity(b);
-              });
-    const size_t mid_keep = learnts_mid_.size() / 2;
-    kept.clear();
-    kept.reserve(mid_keep + 16);
-    for (size_t i = 0; i < learnts_mid_.size(); ++i) {
-      const ClauseRef c = learnts_mid_[i];
-      if (i < mid_keep || is_reason(c)) {
-        kept.push_back(c);
-      } else {
-        DetachClause(c);
-        MarkClauseDead(c);
-      }
-    }
-    learnts_mid_.swap(kept);
-  }
-}
-
-void Solver::SweepSatisfied(std::vector<ClauseRef>* list) {
+void Solver::SweepSatisfiedLearnts() {
   size_t j = 0;
-  for (ClauseRef c : *list) {
-    if (ClauseDead(c)) continue;  // removed by inprocessing, already detached
+  for (ClauseRef c : learnts_) {
+    if (ClauseDead(c)) continue;
     const Lit* lits = ClauseLits(c);
     const int size = ClauseSize(c);
     bool satisfied = false;
@@ -878,10 +670,10 @@ void Solver::SweepSatisfied(std::vector<ClauseRef>* list) {
       DetachClause(c);
       MarkClauseDead(c);
     } else {
-      (*list)[j++] = c;
+      learnts_[j++] = c;
     }
   }
-  list->resize(j);
+  learnts_.resize(j);
 }
 
 void Solver::SweepSatisfiedProblem() {
@@ -920,12 +712,6 @@ void Solver::CompactProblemClauses() {
   CCR_DCHECK(inproc_watermark_ <= clauses_.size());
 }
 
-void Solver::RemoveSatisfiedTopLevel() {
-  SweepSatisfied(&learnts_core_);
-  SweepSatisfied(&learnts_mid_);
-  SweepSatisfied(&learnts_local_);
-}
-
 void Solver::SweepBinaries() {
   // An entry (p -> q) is dead once either variable is fixed at level 0:
   // p fixed means the list is never scanned again (or was fully
@@ -956,9 +742,9 @@ bool Solver::Simplify() {
     ok_ = false;
     return false;
   }
-  RemoveSatisfiedTopLevel();
+  SweepSatisfiedLearnts();
   SweepSatisfiedProblem();
-  if (options_.use_binary_watches) SweepBinaries();
+  SweepBinaries();
   if (options_.use_inprocessing) {
     SubsumptionPass();
     if (ok_) VivificationPass();
@@ -1067,13 +853,10 @@ std::vector<const std::vector<Lbool>*> Solver::CachedWitnesses(
 
 std::vector<std::vector<Lit>> Solver::LearntClauses() const {
   std::vector<std::vector<Lit>> out;
-  for (const std::vector<ClauseRef>* list :
-       {&learnts_core_, &learnts_mid_, &learnts_local_}) {
-    for (ClauseRef c : *list) {
-      if (ClauseDead(c)) continue;
-      const Lit* lits = ClauseLits(c);
-      out.emplace_back(lits, lits + ClauseSize(c));
-    }
+  for (ClauseRef c : learnts_) {
+    if (ClauseDead(c)) continue;
+    const Lit* lits = ClauseLits(c);
+    out.emplace_back(lits, lits + ClauseSize(c));
   }
   for (const auto& [a, b] : learnt_binaries_) {
     out.push_back({a, b});
@@ -1082,14 +865,21 @@ std::vector<std::vector<Lit>> Solver::LearntClauses() const {
 }
 
 int64_t Solver::Luby(int64_t i) {
-  // Luby sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ...
-  int64_t k = 1;
-  while ((1LL << k) - 1 < i + 1) ++k;
-  while ((1LL << k) - 1 != i + 1) {
-    --k;
-    i = i - ((1LL << k) - 1);
+  // Luby sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... Find the complete
+  // subsequence (of length 2^(seq+1) - 1, ending in 2^seq) that holds
+  // index i, then descend into the half that holds it.
+  int64_t size = 1;
+  int seq = 0;
+  while (size < i + 1) {
+    ++seq;
+    size = 2 * size + 1;
   }
-  return 1LL << (k - 1);
+  while (size - 1 != i) {
+    size = (size - 1) >> 1;
+    --seq;
+    i %= size;
+  }
+  return int64_t{1} << seq;
 }
 
 SolveResult Solver::Search(int64_t conflict_budget,
@@ -1101,60 +891,29 @@ SolveResult Solver::Search(int64_t conflict_budget,
     if (conflict != kRefUndef) {
       ++stats_.conflicts;
       ++conflicts_here;
-      ++conflicts_since_restart_;
       if (DecisionLevel() == 0) {
         ok_ = false;
         return SolveResult::kUnsat;
       }
       int bt_level = 0;
-      int lbd = 0;
-      Analyze(conflict, &learnt, &bt_level, &lbd);
-      if (!ema_seeded_) {
-        // Seed both averages with the first sample: from 0, the slow EMA
-        // would stay near 0 for thousands of conflicts and the restart
-        // test would degenerate to a fixed 32-conflict cadence.
-        ema_seeded_ = true;
-        ema_fast_ = ema_slow_ = static_cast<double>(lbd);
-      } else {
-        ema_fast_ += (static_cast<double>(lbd) - ema_fast_) * kEmaFastAlpha;
-        ema_slow_ += (static_cast<double>(lbd) - ema_slow_) * kEmaSlowAlpha;
-      }
+      Analyze(conflict, &learnt, &bt_level);
       // Backjumping may pop assumption pseudo-decisions; the
       // honor-assumptions step below re-establishes them, and an
       // assumption forced false there yields kUnsat with a core.
       CancelUntil(bt_level);
-      RecordLearnt(learnt, lbd);
-      VarDecay();
-      ClauseDecay();
+      RecordLearnt(learnt);
+      var_inc_ /= kVarDecay;
+      clause_inc_ /= kClauseDecay;
       continue;
     }
 
-    bool restart = false;
-    if (options_.use_restarts) {
-      if (options_.use_ema_restarts) {
-        restart = conflicts_since_restart_ >= kEmaMinConflicts &&
-                  ema_fast_ > kEmaRestartMargin * ema_slow_;
-      } else {
-        restart = conflict_budget >= 0 && conflicts_here >= conflict_budget;
-      }
-    }
-    if (restart) {
+    if (conflicts_here >= conflict_budget) {
       CancelUntil(0);
       return SolveResult::kUnknown;  // restart
     }
-    if (options_.max_conflicts >= 0 &&
-        stats_.conflicts >= options_.max_conflicts) {
-      CancelUntil(0);
-      return SolveResult::kUnknown;
-    }
-    if (DecisionLevel() == 0) RemoveSatisfiedTopLevel();
-    if (options_.use_clause_deletion &&
-        static_cast<double>(NumReducibleLearnts()) >= max_learnts_) {
-      if (options_.use_lbd_tiers) {
-        ReduceDbTiered();
-      } else {
-        ReduceDb();
-      }
+    if (DecisionLevel() == 0) SweepSatisfiedLearnts();
+    if (static_cast<double>(learnts_.size()) >= max_learnts_) {
+      ReduceDb();
       max_learnts_ *= 1.1;
       MaybeGarbageCollect();
     }
@@ -1779,9 +1538,8 @@ LocalSearchResult Solver::SeedFromLocalSearch(
                      kSlsFlipsBase +
                          kSlsFlipsPerVar *
                              static_cast<int64_t>(s.free_vars.size()));
-  const int tries =
-      std::max(1, budget.tries > 0 ? budget.tries : options_.sls_tries);
-  const double noise = budget.noise >= 0 ? budget.noise : options_.sls_noise;
+  const int tries = budget.tries > 0 ? budget.tries : kSlsTries;
+  const double noise = budget.noise >= 0 ? budget.noise : kSlsNoise;
   Rng rng(budget.has_seed
               ? budget.seed
               : kSlsSeedBase ^ (0x9e3779b97f4a7c15ULL * ++sls_salt_));
@@ -2013,32 +1771,16 @@ SolveResult Solver::SolveLoop(std::span<const Lit> assumptions) {
   CancelUntil(0);
   max_learnts_ =
       std::max(1000.0, static_cast<double>(clauses_.size()) / 3.0);
-  ema_fast_ = 0;
-  ema_slow_ = 0;
-  ema_seeded_ = false;
-  conflicts_since_restart_ = 0;
 
-  int64_t restart_round = 0;
-  while (true) {
-    const int64_t budget =
-        (options_.use_restarts && !options_.use_ema_restarts)
-            ? 100 * Luby(restart_round)
-            : -1;
-    const SolveResult r = Search(budget, assumptions);
+  for (int64_t restart_round = 0;; ++restart_round) {
+    const SolveResult r =
+        Search(kRestartBase * Luby(restart_round), assumptions);
     if (r != SolveResult::kUnknown) {
       CancelUntil(0);
       return r;
     }
-    // Search returned kUnknown at level 0: a restart boundary or an
-    // exhausted budget.
-    if (options_.max_conflicts >= 0 &&
-        stats_.conflicts >= options_.max_conflicts) {
-      CancelUntil(0);
-      return SolveResult::kUnknown;
-    }
-    ++restart_round;
+    // Search returned kUnknown at level 0: a restart boundary.
     ++stats_.restarts;
-    conflicts_since_restart_ = 0;
   }
 }
 
@@ -2072,7 +1814,7 @@ void Solver::ShrinkClause(ClauseRef c, std::span<const Lit> lits) {
   // The abandoned tail words are dead arena weight from here on.
   arena_dead_words_ += static_cast<size_t>(old_size) - lits.size();
   SetClauseVivified(c, false);  // a changed clause is worth revisiting
-  if (lits.size() == 2 && options_.use_binary_watches) {
+  if (lits.size() == 2) {
     MarkClauseDead(c);  // migrated out of the arena into the bin lists
     AttachBinary(lits[0], lits[1]);
     return;
@@ -2252,7 +1994,6 @@ void Solver::VivificationPass() {
       MarkClauseDead(c);
       continue;
     }
-    if (size < 3) continue;  // arena binaries (legacy mode): leave alone
     DetachClause(c);
     kept.clear();
     for (int k = 0; k < size; ++k) {
@@ -2319,15 +2060,12 @@ void Solver::GarbageCollect() {
   clauses_.resize(j);
   inproc_watermark_ = wm;
   CCR_DCHECK(inproc_watermark_ <= clauses_.size());
-  for (std::vector<ClauseRef>* list :
-       {&learnts_core_, &learnts_mid_, &learnts_local_}) {
-    size_t k = 0;
-    for (ClauseRef c : *list) {
-      if (ClauseDead(c)) continue;
-      (*list)[k++] = RelocateClause(c);
-    }
-    list->resize(k);
+  size_t k = 0;
+  for (ClauseRef c : learnts_) {
+    if (ClauseDead(c)) continue;
+    learnts_[k++] = RelocateClause(c);
   }
+  learnts_.resize(k);
   // Every watched clause is live (each MarkClauseDead site detaches), so
   // every watcher's target has a forwarding ref by now.
   for (std::vector<Watcher>& ws : watches_) {

@@ -2,23 +2,22 @@
 //
 // This is the repository's stand-in for MiniSat [19], which the paper's
 // IsValid uses to decide whether a specification Se has a valid completion.
-// The architecture is a modern incremental CDCL: two-watched-literal
+// It runs one search policy, the textbook MiniSat core: two-watched-literal
 // propagation with a dedicated implicit watch list for binary clauses
 // (binaries never touch the clause arena — the currency-order and CFD
 // encodings are dominated by binary implications), 1-UIP conflict analysis
-// with recursive (deep) conflict-clause minimization, LBD ("glue")
-// computation per learnt clause feeding a three-tier learnt database
-// (core glue<=2 kept forever, mid reduced by glue, local reduced by
-// activity), Glucose-style EMA-based restarts, VSIDS decision ordering,
-// phase saving, incremental solving under assumptions (used by NaiveDeduce
-// and the MaxSAT layer), and an inprocessing pass — clause vivification
-// plus backward subsumption / self-subsuming resolution — run from
-// Simplify() between session rounds. Every modern heuristic sits behind a
-// SolverOptions flag; the legacy MiniSat-2003 behavior (arena binaries,
-// activity-only deletion, Luby restarts, one-step minimization, no
-// inprocessing) stays available for ablation, and because the pipeline
-// above consumes only SAT/UNSAT verdicts, every option combination
-// resolves every entity identically.
+// with one-step conflict-clause minimization, VSIDS decision ordering,
+// phase saving, Luby restarts, and one activity-sorted learnt database
+// halved whenever it outgrows its budget, with incremental solving under
+// assumptions (used by NaiveDeduce and the MaxSAT layer). Around that
+// core sit the optional engines SolverOptions can switch off: a
+// cached-model witness pool that answers assumption solves without
+// search, an inprocessing pass (clause vivification plus backward
+// subsumption / self-subsuming resolution) run from Simplify() between
+// session rounds, compacting arena garbage collection, and local-search
+// warm starts.
+// The pipeline above consumes only SAT/UNSAT verdicts, so every option
+// combination resolves every entity identically.
 
 #ifndef CCR_SAT_SOLVER_H_
 #define CCR_SAT_SOLVER_H_
@@ -37,30 +36,9 @@
 
 namespace ccr::sat {
 
-/// Tunables. The defaults are the modern configuration; the ablation
-/// benches and the randomized equivalence suite flip features off (all
-/// five `use_*` modernization flags false = the legacy MiniSat-style
-/// solver this repo started from).
+/// The optional engines around the one CDCL search policy. The defaults
+/// turn every engine on; LegacyHeuristics() turns every one off.
 struct SolverOptions {
-  bool use_vsids = true;          // activity-ordered decisions vs. lowest id
-  bool use_phase_saving = true;   // remember last polarity per variable
-  bool use_restarts = true;       // restarts enabled at all
-  bool use_clause_deletion = true;  // periodically shrink the learnt DB
-  /// Implicit binary-clause watch lists: clauses of size 2 live in a
-  /// (Lit -> Lit) implication list and propagate without arena access;
-  /// their reasons are literal-encoded. Off = binaries share the arena
-  /// and the generic watcher path.
-  bool use_binary_watches = true;
-  /// LBD-tiered learnt DB: glue <= 2 core (kept forever), glue <= 6 mid
-  /// (reduced by glue, rarely), rest local (reduced by activity, often).
-  /// Off = single activity-sorted DB, MiniSat style.
-  bool use_lbd_tiers = true;
-  /// Glucose-style restarts: restart when the short-term LBD average
-  /// exceeds the long-term average. Off = Luby sequence.
-  bool use_ema_restarts = true;
-  /// Full recursive conflict-clause minimization (ccmin deep mode).
-  /// Off = the one-step self-subsumption check only.
-  bool use_deep_ccmin = true;
   /// Inprocessing in Simplify(): clause vivification and backward
   /// subsumption / self-subsuming resolution over the problem clauses.
   /// Intended between session rounds, after the encode layer appended the
@@ -78,7 +56,7 @@ struct SolverOptions {
   /// Compacting arena garbage collection: once the words owned by dead
   /// clauses (removed, subsumed, shrunk) exceed gc_frac of
   /// the arena, live clauses relocate into a fresh arena and every
-  /// ClauseRef holder — watch lists, reason slots, learnt tiers, the
+  /// ClauseRef holder — watch lists, reason slots, the learnt DB, the
   /// occurrence index — is rewritten. Triggered from Simplify() and after
   /// learnt-DB reductions; list and watcher order is preserved, so GC
   /// changes memory and time only, never a verdict or a model.
@@ -110,26 +88,13 @@ struct SolverOptions {
   /// cardinality bound up from 0. When the probe hits the true optimum
   /// the exact search collapses to two solves (SAT at u, UNSAT at u-1).
   bool use_sls_probing = true;
-  /// Local-search budget: flips per try (0 = scaled to the free-variable
-  /// count), number of restarts, and WalkSAT noise probability.
-  int64_t sls_max_flips = 0;
-  int sls_tries = 2;
-  double sls_noise = 0.5;
-  double var_decay = 0.95;
-  double clause_decay = 0.999;
-  int64_t max_conflicts = -1;     // < 0 means unlimited
 
-  /// The 2003-era configuration this repo started from: every
-  /// modernization flag off. The single definition the ablation bench,
-  /// `ccr_experiment --solver legacy` and the equivalence tests share —
-  /// a new modernization flag added here is legacy-off everywhere at
-  /// once.
+  /// Every optional engine above off: the bare CDCL search. The single
+  /// definition the ablation bench, `ccr_experiment --solver legacy` and
+  /// the equivalence tests share — a new engine flag added here is off
+  /// in the legacy preset everywhere at once.
   static SolverOptions LegacyHeuristics() {
     SolverOptions o;
-    o.use_binary_watches = false;
-    o.use_lbd_tiers = false;
-    o.use_ema_restarts = false;
-    o.use_deep_ccmin = false;
     o.use_inprocessing = false;
     o.use_model_cache = false;
     o.use_arena_gc = false;
@@ -145,7 +110,7 @@ struct SolverOptions {
 /// snapshot validation:
 ///   modern      the defaults
 ///   sls         alias of modern (the local-search warm starts are on)
-///   legacy      LegacyHeuristics()
+///   legacy      LegacyHeuristics(): every optional engine off
 ///   nogc        modern with arena GC off
 ///   nosls       modern with SLS seeding and MaxSAT probing off
 ///   nobackbone  modern with the per-pair Lemma-6 Deduce loop
@@ -162,7 +127,9 @@ std::span<const SolverPreset> SolverPresets();
 /// The options of the preset called `name`; InvalidArgument otherwise.
 Result<SolverOptions> SolverOptionsForPreset(std::string_view name);
 
-/// Outcome of a solve call.
+/// Outcome of a solve call. Solve and SolveWithAssumptions return only
+/// kSat or kUnsat: the search runs until it decides. kUnknown is the
+/// search loop's private restart signal and never escapes a solve call.
 enum class SolveResult { kSat, kUnsat, kUnknown };
 
 /// Solver statistics (cumulative across Solve calls).
@@ -180,15 +147,6 @@ struct SolverStats {
   /// the implications behind `propagations`, which counts trail literals
   /// processed).
   int64_t binary_propagations = 0;
-  /// Sum of LBD ("glue") over learnt clauses at learn time; divide by
-  /// `conflicts` for the average glue of the search.
-  int64_t lbd_sum = 0;
-  /// Learnt clauses entering each tier at learn time. With LBD tiers off,
-  /// every non-unit learnt counts as local. Binary learnts under binary
-  /// watches count as core (they are kept forever by construction).
-  int64_t learnt_core = 0;
-  int64_t learnt_mid = 0;
-  int64_t learnt_local = 0;
   /// Inprocessing: problem clauses removed by backward subsumption plus
   /// literals removed by self-subsuming resolution.
   int64_t subsumed = 0;
@@ -232,10 +190,6 @@ struct SolverStats {
             learnt_literals - o.learnt_literals,
             assumption_solves - o.assumption_solves,
             binary_propagations - o.binary_propagations,
-            lbd_sum - o.lbd_sum,
-            learnt_core - o.learnt_core,
-            learnt_mid - o.learnt_mid,
-            learnt_local - o.learnt_local,
             subsumed - o.subsumed,
             vivified - o.vivified,
             model_cache_hits - o.model_cache_hits,
@@ -261,10 +215,6 @@ struct SolverStats {
     learnt_literals += o.learnt_literals;
     assumption_solves += o.assumption_solves;
     binary_propagations += o.binary_propagations;
-    lbd_sum += o.lbd_sum;
-    learnt_core += o.learnt_core;
-    learnt_mid += o.learnt_mid;
-    learnt_local += o.learnt_local;
     subsumed += o.subsumed;
     vivified += o.vivified;
     model_cache_hits += o.model_cache_hits;
@@ -283,11 +233,12 @@ struct SolverStats {
 };
 
 /// Explicit budget for one local-search pass. Zero / negative fields fall
-/// back to SolverOptions (sls_max_flips / sls_tries / sls_noise).
+/// back to the solver's built-in budget: flips per try scaled to the
+/// free-variable count, 2 tries, noise 0.5.
 struct LocalSearchBudget {
   int64_t max_flips = 0;  // per try; 0 = auto
-  int tries = 0;          // 0 = SolverOptions::sls_tries
-  double noise = -1.0;    // < 0 = SolverOptions::sls_noise
+  int tries = 0;          // 0 = built-in
+  double noise = -1.0;    // < 0 = built-in
   /// When set, seeds the RNG from `seed` instead of the solver's per-call
   /// salt — RunWalkSat's same-seed determinism contract rides on this.
   bool has_seed = false;
@@ -478,8 +429,8 @@ class Solver {
   /// unsatisfiable. ScopedVars::Release is the caller.
   bool FreezeScope(Lit activation, std::span<const Var> vars);
 
-  /// Debug/test accessor: every learnt clause currently in the database
-  /// (all tiers), plus every binary clause ever learnt into the implicit
+  /// Debug/test accessor: every learnt clause currently in the database,
+  /// plus every binary clause ever learnt into the implicit
   /// binary watch lists. Each returned clause is implied by the problem
   /// clauses — the learnt-implication regression suite re-solves to check
   /// exactly that.
@@ -495,8 +446,8 @@ class Solver {
   void Reset(SolverOptions options = {});
 
   /// Compacts the clause arena: live clauses move into a fresh arena and
-  /// every ClauseRef holder — watch lists, reason slots, the learnt
-  /// tiers, the occurrence index — is rewritten to the relocated
+  /// every ClauseRef holder — watch lists, reason slots, the learnt DB,
+  /// the occurrence index — is rewritten to the relocated
   /// references. (The cached-model pool holds no references, only
   /// per-variable values, so it survives untouched.) Runs automatically
   /// under SolverOptions::use_arena_gc / gc_frac; public so tests and
@@ -518,14 +469,15 @@ class Solver {
   // --- clause arena ----------------------------------------------------
   //
   // Arena layout per clause: [size<<3 | vivified<<2 | dead<<1 |
-  // learnt][activity bits / sig lo][lbd / sig hi][lits...]. `dead` marks
+  // learnt][activity bits / sig lo][sig hi][lits...]. `dead` marks
   // clauses removed by deletion or inprocessing (already detached; their
   // words are accounted in arena_dead_words_ and reclaimed by
   // GarbageCollect); `vivified` marks clauses the vivification pass has
   // already distilled, so later passes skip them until a strengthening
-  // changes them again. Learnt clauses use words 1–2 for activity and
-  // LBD; problem clauses never do, so the subsumption pass stores their
-  // 64-bit variable signature there instead.
+  // changes them again. Learnt clauses use word 1 for their activity;
+  // problem clauses never do, so the subsumption pass stores their
+  // 64-bit variable signature in words 1–2 instead. Every arena clause
+  // has at least three literals: binaries live in the implicit lists.
   //
   // Reason encoding: a reason is either an arena reference (< 2^31 —
   // checked at allocation), the literal-encoded reason of a binary
@@ -584,14 +536,12 @@ class Solver {
     arena_[c + 1] = std::bit_cast<uint32_t>(a);
   }
   // Problem-clause variable signature (Bloom filter over var % 64),
-  // cached in the unused activity/LBD words at AddClause and kept fresh
-  // on every strengthening, so the subsumption pass never rebuilds it.
+  // cached in words 1–2 at AddClause and kept fresh on every
+  // strengthening, so the subsumption pass never rebuilds it.
   uint64_t ClauseSig(ClauseRef c) const {
     return arena_[c + 1] | (static_cast<uint64_t>(arena_[c + 2]) << 32);
   }
   void StoreClauseSig(ClauseRef c);
-  uint32_t ClauseLbd(ClauseRef c) const { return arena_[c + 2]; }
-  void SetClauseLbd(ClauseRef c, uint32_t lbd) { arena_[c + 2] = lbd; }
 
   struct Watcher {
     ClauseRef cref;
@@ -605,8 +555,7 @@ class Solver {
                      std::span<const Lit> assumptions);
   ClauseRef Propagate();
   void Analyze(ClauseRef conflict, std::vector<Lit>* out_learnt,
-               int* out_btlevel, int* out_lbd);
-  bool LitRedundant(Lit p, uint32_t abstract_levels);
+               int* out_btlevel);
   void AnalyzeFinal(Lit p, std::vector<Lit>* out_core);
   void UncheckedEnqueue(Lit p, ClauseRef from);
   void CancelUntil(int level);
@@ -614,17 +563,11 @@ class Solver {
   void AttachClause(ClauseRef c);
   void DetachClause(ClauseRef c);
   void AttachBinary(Lit a, Lit b);
-  void RecordLearnt(const std::vector<Lit>& learnt, int lbd);
-  int ComputeLbd(std::span<const Lit> lits);
+  void RecordLearnt(const std::vector<Lit>& learnt);
   void ReduceDb();
-  void ReduceDbTiered();
-  void RemoveSatisfiedTopLevel();
-  void SweepSatisfied(std::vector<ClauseRef>* list);
+  void SweepSatisfiedLearnts();
   void SweepSatisfiedProblem();
   void SweepBinaries();
-  size_t NumReducibleLearnts() const {
-    return learnts_mid_.size() + learnts_local_.size();
-  }
 
   // --- arena lifecycle --------------------------------------------------
   void MaybeGarbageCollect();
@@ -677,9 +620,7 @@ class Solver {
 
   // VSIDS helpers.
   void VarBump(Var v);
-  void VarDecay() { var_inc_ /= options_.var_decay; }
   void ClauseBump(ClauseRef c);
-  void ClauseDecay() { clause_inc_ /= options_.clause_decay; }
   void HeapInsert(Var v);
   Var HeapPop();
   void HeapDecrease(Var v);
@@ -694,11 +635,7 @@ class Solver {
 
   std::vector<uint32_t> arena_;
   std::vector<ClauseRef> clauses_;  // problem clauses (arena-backed)
-  // Learnt tiers. With use_lbd_tiers off everything lands in local and
-  // ReduceDb behaves like the single activity-sorted MiniSat DB.
-  std::vector<ClauseRef> learnts_core_;   // glue <= 2, kept forever
-  std::vector<ClauseRef> learnts_mid_;    // glue <= 6, reduced by glue
-  std::vector<ClauseRef> learnts_local_;  // reduced by activity
+  std::vector<ClauseRef> learnts_;  // learnt clauses (arena-backed)
 
   std::vector<std::vector<Watcher>> watches_;  // indexed by Lit::index()
   // Implicit binary watch lists: bins_[p.index()] holds every literal q
@@ -728,10 +665,7 @@ class Solver {
   std::vector<int> heap_pos_;   // per var; -1 if absent
 
   std::vector<uint8_t> seen_;   // scratch for Analyze
-  std::vector<Lit> analyze_stack_;    // scratch for LitRedundant
   std::vector<Lit> analyze_toclear_;  // seen_ marks to undo
-  std::vector<uint64_t> lbd_stamp_;   // per level, for ComputeLbd
-  uint64_t lbd_counter_ = 0;
   std::vector<Lbool> model_;
   std::vector<Lit> conflict_core_;
 
@@ -747,15 +681,8 @@ class Solver {
   // open. Guards the ProbeLitFails/EndProbe contract in debug builds.
   int probe_base_level_ = -1;
 
-  // Glucose-style restart state (per SolveLoop; seeded by the first
-  // conflict's glue so the slow average never anchors at 0).
-  double ema_fast_ = 0;
-  double ema_slow_ = 0;
-  bool ema_seeded_ = false;
-  int64_t conflicts_since_restart_ = 0;
-
+  // Learnt-DB budget: ReduceDb runs once learnts_ reaches it.
   double max_learnts_ = 0;
-  int64_t reduce_calls_ = 0;
 
   // Inprocessing bookkeeping: clauses_[inproc_watermark_..] are the
   // entries appended since the last subsumption pass (those act as the

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -246,7 +247,8 @@ TEST(SolverTest, MinimizationStaleSeenRegression) {
   // for the shifted tail instead of the dropped literal. The stale mark
   // made the next Analyze skip that variable entirely, learning a unit
   // the formula does not imply — and the solver answered UNSAT on this
-  // satisfiable instance. Both minimization modes shared the cleanup.
+  // satisfiable instance. Checked on the default solver and on the bare
+  // search of the legacy preset.
   constexpr char kDimacs[] =
       "-7 0 12 -3 13 0 8 0 -10 5 0 -11 3 12 0 -15 -14 0 10 -13 0 -7 0 "
       "-10 -6 -14 0 -11 10 0 -5 10 0 -13 -15 0 12 6 0 3 2 0 8 0 6 11 0 "
@@ -254,35 +256,20 @@ TEST(SolverTest, MinimizationStaleSeenRegression) {
       "-12 -16 -10 0 -12 -1 -14 0 11 -2 0\n";
   auto cnf = FromDimacs(kDimacs);
   ASSERT_TRUE(cnf.ok());
-  for (const bool deep : {false, true}) {
-    SolverOptions opts = SolverOptions::LegacyHeuristics();
-    opts.use_deep_ccmin = deep;
-    Solver s(opts);
+  for (const bool legacy : {false, true}) {
+    Solver s(legacy ? SolverOptions::LegacyHeuristics() : SolverOptions{});
     s.AddCnf(*cnf);
-    ASSERT_EQ(s.Solve(), SolveResult::kSat) << "deep_ccmin=" << deep;
-    EXPECT_TRUE(ModelSatisfies(*cnf, s)) << "deep_ccmin=" << deep;
+    ASSERT_EQ(s.Solve(), SolveResult::kSat) << "legacy=" << legacy;
+    EXPECT_TRUE(ModelSatisfies(*cnf, s)) << "legacy=" << legacy;
   }
-  Solver modern;
-  modern.AddCnf(*cnf);
-  ASSERT_EQ(modern.Solve(), SolveResult::kSat);
-  EXPECT_TRUE(ModelSatisfies(*cnf, modern));
 }
 
-// Random 3-SAT cross-checked against brute force under every feature
-// configuration — the classic MiniSat toggles plus each modernization
-// flag (binary watches, LBD tiers, EMA restarts, deep ccmin, witness
-// cache), a mid-stream Simplify() variant that exercises the
-// inprocessing passes on half-loaded formulas, and follow-up solves
-// under random assumptions.
+// Random 3-SAT cross-checked against brute force under the solver's
+// engine configurations — inprocessing and the witness cache on or off,
+// a mid-stream Simplify() variant that exercises the inprocessing passes
+// on half-loaded formulas, eager arena compaction, local-search seeding,
+// and follow-up solves under random assumptions.
 struct FuzzParams {
-  bool vsids = true;
-  bool phase_saving = true;
-  bool restarts = true;
-  bool deletion = true;
-  bool binary_watches = true;
-  bool lbd_tiers = true;
-  bool ema_restarts = true;
-  bool deep_ccmin = true;
   bool inprocessing = true;
   bool model_cache = true;
   bool simplify_midway = false;  // feed half, Simplify (inprocess), rest
@@ -295,11 +282,7 @@ class SolverFuzzTest : public ::testing::TestWithParam<FuzzParams> {};
 
 TEST_P(SolverFuzzTest, MatchesBruteForce) {
   const FuzzParams p = GetParam();
-  Rng rng(0xF00D + (p.vsids ? 1 : 0) + (p.phase_saving ? 2 : 0) +
-          (p.restarts ? 4 : 0) + (p.deletion ? 8 : 0) +
-          (p.binary_watches ? 16 : 0) + (p.lbd_tiers ? 32 : 0) +
-          (p.ema_restarts ? 64 : 0) + (p.deep_ccmin ? 128 : 0) +
-          (p.inprocessing ? 1024 : 0) + (p.model_cache ? 256 : 0) +
+  Rng rng(0xF00D + (p.inprocessing ? 1024 : 0) + (p.model_cache ? 256 : 0) +
           (p.simplify_midway ? 512 : 0) + (p.eager_gc ? 2048 : 0) +
           (p.assume ? 4096 : 0) + (p.sls_seed ? 8192 : 0));
   int sat_count = 0, unsat_count = 0;
@@ -318,14 +301,6 @@ TEST_P(SolverFuzzTest, MatchesBruteForce) {
       cnf.AddClause(std::span<const Lit>(clause.data(), clause.size()));
     }
     SolverOptions opts;
-    opts.use_vsids = p.vsids;
-    opts.use_phase_saving = p.phase_saving;
-    opts.use_restarts = p.restarts;
-    opts.use_clause_deletion = p.deletion;
-    opts.use_binary_watches = p.binary_watches;
-    opts.use_lbd_tiers = p.lbd_tiers;
-    opts.use_ema_restarts = p.ema_restarts;
-    opts.use_deep_ccmin = p.deep_ccmin;
     opts.use_inprocessing = p.inprocessing;
     opts.use_model_cache = p.model_cache;
     if (p.eager_gc) opts.gc_frac = 0.0;
@@ -405,14 +380,6 @@ INSTANTIATE_TEST_SUITE_P(
     FeatureMatrix, SolverFuzzTest,
     ::testing::Values(
         FuzzParams{},                          // modern defaults
-        FuzzParams{.vsids = false},
-        FuzzParams{.phase_saving = false},
-        FuzzParams{.restarts = false},
-        FuzzParams{.deletion = false},
-        FuzzParams{.binary_watches = false},
-        FuzzParams{.lbd_tiers = false},
-        FuzzParams{.ema_restarts = false},
-        FuzzParams{.deep_ccmin = false},
         FuzzParams{.model_cache = false},
         FuzzParams{.simplify_midway = true},
         // Arena compaction at every opportunity, alone and on top of the
@@ -425,17 +392,11 @@ INSTANTIATE_TEST_SUITE_P(
         // and on the half-loaded inprocessing path.
         FuzzParams{.sls_seed = true},
         FuzzParams{.simplify_midway = true, .sls_seed = true},
-        // Fully legacy: the 2003-era solver this repo started from.
-        FuzzParams{.vsids = false, .phase_saving = false, .restarts = false,
-                   .deletion = false, .binary_watches = false,
-                   .lbd_tiers = false, .ema_restarts = false,
-                   .deep_ccmin = false, .inprocessing = false,
-                   .model_cache = false},
-        // Legacy heuristics plus mid-stream Simplify(): with
-        // use_inprocessing off it only sweeps satisfied clauses.
-        FuzzParams{.binary_watches = false, .lbd_tiers = false,
-                   .ema_restarts = false, .deep_ccmin = false,
-                   .inprocessing = false, .model_cache = false,
+        // The bare search: inprocessing and the witness cache off.
+        FuzzParams{.inprocessing = false, .model_cache = false},
+        // The same plus mid-stream Simplify(): with use_inprocessing off
+        // it only sweeps satisfied clauses.
+        FuzzParams{.inprocessing = false, .model_cache = false,
                    .simplify_midway = true}));
 
 TEST(DimacsTest, RoundTrip) {
@@ -472,12 +433,84 @@ TEST(SolverTest, StatsAccumulate) {
   EXPECT_GT(s.stats().propagations, 0);
 }
 
-TEST(SolverTest, ConflictBudgetReturnsUnknown) {
-  SolverOptions opts;
-  opts.max_conflicts = 1;
-  Solver s(opts);
-  s.AddCnf(Pigeonhole(7));
-  EXPECT_EQ(s.Solve(), SolveResult::kUnknown);
+// Size of the planted formula below: 4.26 clauses per variable, the
+// random 3-SAT threshold.
+constexpr int kPlantedVars = 250;
+constexpr int kPlantedClauses = 1065;
+
+// Planted random 3-SAT: every clause is satisfied by a hidden assignment,
+// so the formula is satisfiable by construction. At the threshold the
+// search still needs thousands of conflicts — enough to pass many
+// 100 × Luby(i) restart budgets and a learnt-DB reduction, which the
+// small fuzz formulas never reach.
+Cnf PlantedThreeSat(int n_vars, int n_clauses, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<bool> hidden(static_cast<size_t>(n_vars));
+  for (int v = 0; v < n_vars; ++v) hidden[v] = rng.Chance(0.5);
+  Cnf cnf;
+  cnf.EnsureVars(n_vars);
+  while (cnf.num_clauses() < n_clauses) {
+    std::vector<Lit> clause;
+    bool satisfied = false;
+    for (int k = 0; k < 3; ++k) {
+      const Lit l(static_cast<Var>(rng.Below(n_vars)), rng.Chance(0.5));
+      satisfied = satisfied || hidden[l.var()] != l.negated();
+      clause.push_back(l);
+    }
+    if (satisfied) {
+      cnf.AddClause(std::span<const Lit>(clause.data(), clause.size()));
+    }
+  }
+  return cnf;
+}
+
+TEST(SolverTest, ModelsAndCoresStaySoundAcrossRestarts) {
+  const Cnf cnf = PlantedThreeSat(kPlantedVars, kPlantedClauses, 0x5EED);
+  Solver s;
+  s.AddCnf(cnf);
+  ASSERT_EQ(s.Solve(), SolveResult::kSat);
+  EXPECT_GT(s.stats().restarts, 0) << "the formula must force a restart";
+  EXPECT_TRUE(ModelSatisfies(cnf, s));
+
+  // Assumption solves on the same solver, learnt clauses and all. Each
+  // SAT model must satisfy the formula and the assumptions; each UNSAT
+  // core (negated failed assumptions) must be refuted by an independent
+  // solver that never saw this search.
+  Rng rng(0xC0DE);
+  int unsat_seen = 0;
+  for (int q = 0; q < 20; ++q) {
+    std::vector<Lit> assumptions;
+    for (int k = 0; k < 24; ++k) {
+      assumptions.push_back(
+          Lit(static_cast<Var>(rng.Below(kPlantedVars)), rng.Chance(0.5)));
+    }
+    const SolveResult r = s.SolveWithAssumptions(assumptions);
+    if (r == SolveResult::kSat) {
+      EXPECT_TRUE(ModelSatisfies(cnf, s)) << "query " << q;
+      for (Lit a : assumptions) {
+        EXPECT_NE(s.ModelValue(a.var()), a.negated()) << "query " << q;
+      }
+      continue;
+    }
+    ASSERT_EQ(r, SolveResult::kUnsat);
+    ASSERT_FALSE(s.IsUnsatForever());
+    ++unsat_seen;
+    const std::vector<Lit>& core = s.FailedAssumptions();
+    ASSERT_FALSE(core.empty()) << "query " << q;
+    Solver check;
+    check.AddCnf(cnf);
+    bool alive = true;
+    for (Lit l : core) {
+      EXPECT_NE(std::find(assumptions.begin(), assumptions.end(), ~l),
+                assumptions.end())
+          << "core literal outside the assumptions, query " << q;
+      alive = check.AddClause({~l}) && alive;
+    }
+    if (alive) {
+      EXPECT_EQ(check.Solve(), SolveResult::kUnsat) << "query " << q;
+    }
+  }
+  EXPECT_GT(unsat_seen, 0) << "the queries must exercise the core path";
 }
 
 TEST(SolverTest, ResetIsObservablyAFreshSolver) {

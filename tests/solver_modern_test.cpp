@@ -1,11 +1,11 @@
-// Tests for the modernized CDCL core: the randomized ablation-equivalence
-// suite (every SolverOptions combination must resolve every entity to the
-// byte — the pipeline consumes only SAT verdicts, so heuristics cannot
-// change results), a DIMACS-level regression that learnt clauses survive
-// deep minimization still implied (checked by re-solve), and unit tests
-// for the new machinery: implicit binary watches, LBD tiers, EMA
-// restarts, batched ScopedVars release, inprocessing and the cached-model
-// witness pool.
+// Tests for the CDCL core and its optional engines: the ablation-
+// equivalence suite (every SolverOptions combination must resolve every
+// entity to the byte — the pipeline consumes only SAT verdicts, so the
+// engines cannot change results), a DIMACS-level regression that learnt
+// clauses stay implied after minimization (checked by re-solve), and unit
+// tests for the machinery: implicit binary watches, batched ScopedVars
+// release, inprocessing, arena GC, activity-driven learnt deletion and
+// the cached-model witness pool.
 
 #include <gtest/gtest.h>
 
@@ -26,14 +26,9 @@ using sat::Solver;
 using sat::SolverOptions;
 using sat::Var;
 
-SolverOptions MakeOptions(bool bin, bool tiers, bool ema, bool ccmin,
-                          bool inproc, bool gc, bool sls, bool cache,
+SolverOptions MakeOptions(bool inproc, bool gc, bool sls, bool cache,
                           bool backbone = true) {
   SolverOptions o;
-  o.use_binary_watches = bin;
-  o.use_lbd_tiers = tiers;
-  o.use_ema_restarts = ema;
-  o.use_deep_ccmin = ccmin;
   o.use_inprocessing = inproc;
   o.use_arena_gc = gc;
   o.use_sls_seeding = sls;
@@ -84,47 +79,43 @@ std::string ResolveCorpusToJson(const Dataset& ds,
   return ExperimentResultToJson(r, jopts);
 }
 
-// The CI gate of this PR: every combination of the eight ablation axes —
-// the six CDCL features, the SLS warm-start bit, and (bit 128) the
-// backbone Deduce engine exercised on the NaiveDeduce pipeline, with the
-// witness cache on (the default) — plus the fully-legacy and
-// cache-less-modern spot checks produce byte-identical
-// ExperimentResults on all three corpora. The high bit switches the
-// reference too: backbone-engine runs are compared against the per-pair
-// Lemma-6 loop (use_backbone_deduce off), the configuration whose
-// answers are one solver verdict per pair.
+// Every combination of the four ablation axes — inprocessing, arena GC,
+// the SLS warm-start bit, and (bit 8) the backbone Deduce engine
+// exercised on the NaiveDeduce pipeline, with the witness cache on (the
+// default) — plus the legacy-preset, cache-less and eager-GC spot checks
+// produce byte-identical ExperimentResults on all three corpora. The
+// high bit switches the reference too: backbone-engine runs are compared
+// against the per-pair Lemma-6 loop (use_backbone_deduce off), the
+// configuration whose answers are one solver verdict per pair.
 TEST(SolverAblationEquivalenceTest, EveryOptionComboResolvesIdentically) {
   for (const std::string kind : {"person", "nba", "career"}) {
     const Dataset ds = AblationCorpus(kind);
     const std::string baseline = ResolveCorpusToJson(ds, SolverOptions{});
     const std::string naive_baseline = ResolveCorpusToJson(
         ds,
-        MakeOptions(true, true, true, true, true, true, true, true,
-                    /*backbone=*/false),
+        MakeOptions(true, true, true, true, /*backbone=*/false),
         /*naive_deduce=*/true);
-    for (int mask = 0; mask < 256; ++mask) {
-      const bool naive = mask & 128;
+    for (int mask = 0; mask < 16; ++mask) {
+      const bool naive = mask & 8;
       const SolverOptions opts =
-          MakeOptions(mask & 1, mask & 2, mask & 4, mask & 8, mask & 16,
-                      mask & 32, mask & 64, /*cache=*/true);
+          MakeOptions(mask & 1, mask & 2, mask & 4, /*cache=*/true);
       EXPECT_EQ(ResolveCorpusToJson(ds, opts, naive),
                 naive ? naive_baseline : baseline)
           << kind << " flag mask " << mask;
     }
-    // Legacy heuristics carry backbone-off: the naive pipeline under
+    // The legacy preset carries backbone-off: the naive pipeline under
     // them must still match the per-pair reference bytes.
     EXPECT_EQ(ResolveCorpusToJson(ds, SolverOptions::LegacyHeuristics(),
                                   /*naive_deduce=*/true),
               naive_baseline)
         << kind << " legacy, naive pipeline";
     // Witness-cache off: the one remaining axis, spot-checked against the
-    // fully legacy (the shared LegacyHeuristics configuration) and fully
-    // modern corners.
+    // every-engine-off (the shared LegacyHeuristics configuration) and
+    // every-engine-on corners.
     EXPECT_EQ(ResolveCorpusToJson(ds, SolverOptions::LegacyHeuristics()),
               baseline)
         << kind << " legacy, no cache";
-    EXPECT_EQ(ResolveCorpusToJson(ds, MakeOptions(true, true, true, true,
-                                                  true, true, true, false)),
+    EXPECT_EQ(ResolveCorpusToJson(ds, MakeOptions(true, true, true, false)),
               baseline)
         << kind << " modern, no cache";
     // Collector pressure extreme: compact at every opportunity
@@ -137,8 +128,8 @@ TEST(SolverAblationEquivalenceTest, EveryOptionComboResolvesIdentically) {
   }
 }
 
-// DIMACS-level regression: every clause the modern solver learns — after
-// recursive minimization, possibly migrated into the binary watch lists —
+// DIMACS-level regression: every clause the solver learns — after
+// minimization, possibly recorded in the binary watch lists —
 // must still be implied by the original formula: F ∧ ¬C re-solved by an
 // independent solver must be UNSAT.
 TEST(DeepMinimizationTest, LearntClausesStayImplied) {
@@ -180,7 +171,7 @@ TEST(DeepMinimizationTest, LearntClausesStayImplied) {
         }
       }
     }
-    Solver s;  // modern defaults: deep ccmin, binary watches, tiers
+    Solver s;
     s.AddCnf(cnf);
     (void)s.Solve();
     for (const std::vector<Lit>& learnt : s.LearntClauses()) {
@@ -374,9 +365,7 @@ TEST(ArenaGcTest, ModelCacheSurvivesRelocation) {
 // entitled to exploit — this test gives it a dense workload to exploit
 // it on.
 TEST(ClauseActivityTest, ActivityDrivenDeletionSurvivesStrictAliasing) {
-  SolverOptions opts;
-  opts.use_lbd_tiers = false;  // legacy activity-sorted ReduceDb path
-  Solver s(opts);
+  Solver s;
   sat::Cnf cnf;
   const int holes = 9, pigeons = 10;
   auto var = [&](int p, int h) { return p * holes + h; };
@@ -395,36 +384,6 @@ TEST(ClauseActivityTest, ActivityDrivenDeletionSurvivesStrictAliasing) {
   s.AddCnf(cnf);
   ASSERT_EQ(s.Solve(), SolveResult::kUnsat);
   EXPECT_GT(s.stats().conflicts, 100);  // real bump/decay/delete traffic
-}
-
-TEST(LbdTierTest, TieredCountersPopulateOnConflictHeavySearch) {
-  // Pigeonhole forces real conflict-driven search: glue statistics and
-  // the tier counters must move.
-  SolverOptions opts;  // modern defaults
-  Solver s(opts);
-  sat::Cnf cnf;
-  const int holes = 6, pigeons = 7;
-  auto var = [&](int p, int h) { return p * holes + h; };
-  for (int p = 0; p < pigeons; ++p) {
-    std::vector<Lit> clause;
-    for (int h = 0; h < holes; ++h) clause.push_back(Lit::Pos(var(p, h)));
-    cnf.AddClause(std::span<const Lit>(clause.data(), clause.size()));
-  }
-  for (int h = 0; h < holes; ++h) {
-    for (int p1 = 0; p1 < pigeons; ++p1) {
-      for (int p2 = p1 + 1; p2 < pigeons; ++p2) {
-        cnf.AddBinary(Lit::Neg(var(p1, h)), Lit::Neg(var(p2, h)));
-      }
-    }
-  }
-  s.AddCnf(cnf);
-  ASSERT_EQ(s.Solve(), SolveResult::kUnsat);
-  EXPECT_GT(s.stats().conflicts, 0);
-  EXPECT_GT(s.stats().lbd_sum, 0);
-  EXPECT_GT(s.stats().learnt_core + s.stats().learnt_mid +
-                s.stats().learnt_local,
-            0);
-  EXPECT_GT(s.stats().binary_propagations, 0);
 }
 
 // The session engine stamps per-phase solver deltas into the RoundTrace;

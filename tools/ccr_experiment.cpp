@@ -74,10 +74,11 @@ void PrintUsage(std::FILE* to) {
                "  --engine E        session (persistent-solver incremental\n"
                "                    engine, default) | legacy (re-encode\n"
                "                    every round; A/B reference)\n"
-               "  --solver S        modern (binary watches, LBD tiers, EMA\n"
-               "                    restarts, deep ccmin, inprocessing;\n"
-               "                    default) | legacy (all five off; the\n"
-               "                    MiniSat-2003 heuristics) | nogc (modern\n"
+               "  --solver S        modern (every optional solver engine\n"
+               "                    on: inprocessing, model cache, arena\n"
+               "                    GC, local search, backbone Deduce;\n"
+               "                    default) | legacy (every engine off;\n"
+               "                    the bare CDCL search) | nogc (modern\n"
                "                    with arena GC off) | sls (alias of\n"
                "                    modern; the SLS warm starts are on by\n"
                "                    default) | nosls\n"
@@ -92,8 +93,9 @@ void PrintUsage(std::FILE* to) {
                "                    the solver-bound pipeline the backbone\n"
                "                    engine accelerates)\n"
                "  --solver-stats    dump pooled per-phase solver statistics\n"
-               "                    (conflicts, binary propagations, glue,\n"
-               "                    tier/inprocessing counters) on stderr\n"
+               "                    (conflicts, binary propagations,\n"
+               "                    inprocessing, cache, GC, local-search\n"
+               "                    and Deduce counters) on stderr\n"
                "  --no-reuse        disable cross-entity solver pooling\n"
                "\n"
                "Common flags:\n"
@@ -351,9 +353,7 @@ void DumpSolverStats(const ExperimentResult& r) {
                  "    \"%s\": {\"conflicts\": %lld, \"decisions\": %lld, "
                  "\"propagations\": %lld, \"binary_propagations\": %lld, "
                  "\"restarts\": %lld, \"assumption_solves\": %lld, "
-                 "\"learnt_literals\": %lld, \"lbd_sum\": %lld, "
-                 "\"learnt_core\": %lld, \"learnt_mid\": %lld, "
-                 "\"learnt_local\": %lld, \"subsumed\": %lld, "
+                 "\"learnt_literals\": %lld, \"subsumed\": %lld, "
                  "\"vivified\": %lld, \"model_cache_hits\": %lld, "
                  "\"gc_runs\": %lld, \"gc_reclaimed_words\": %lld, "
                  "\"sls_flips\": %lld, \"sls_seeded_models\": %lld, "
@@ -369,10 +369,6 @@ void DumpSolverStats(const ExperimentResult& r) {
                  static_cast<long long>(s.restarts),
                  static_cast<long long>(s.assumption_solves),
                  static_cast<long long>(s.learnt_literals),
-                 static_cast<long long>(s.lbd_sum),
-                 static_cast<long long>(s.learnt_core),
-                 static_cast<long long>(s.learnt_mid),
-                 static_cast<long long>(s.learnt_local),
                  static_cast<long long>(s.subsumed),
                  static_cast<long long>(s.vivified),
                  static_cast<long long>(s.model_cache_hits),
