@@ -1,4 +1,5 @@
-// Ablations of the design choices called out in DESIGN.md:
+// Ablations of the design choices called out in docs/ARCHITECTURE.md
+// ("Semantic decisions") and of the solver pieces around them:
 //   A1. DeduceOrder negative-unit handling — paper mode (Fig. 5 lines 6-7
 //       add the reversed order) vs strict mode (negative units only reduce
 //       the formula).

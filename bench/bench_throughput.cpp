@@ -19,7 +19,7 @@
 //     total rebuild count, which selector-guarded CFDs pin at zero.
 //   * "solver_ablation": the default solver vs. every optional solver
 //     engine off (the legacy preset: no inprocessing, model cache, arena
-//     GC, local search or backbone Deduce; the same CDCL search), both on
+//     GC, phase seeding or backbone Deduce; the same CDCL search), both on
 //     the session engine, measured as end-to-end Resolve wall time over
 //     the same >= 1k-tuple Person entities driven through the NaiveDeduce
 //     pipeline (the Fig. 8(b) baseline: deduction = thousands of Lemma-6
@@ -51,18 +51,6 @@
 //     identically, and re-checks num_rebuilds == 0.
 //     scripts/bench_smoke.sh gates identical_results and a reclaim floor
 //     (CCR_BENCH_GC_RECLAIM_FLOOR).
-//   * "sls_warm_start": the same session engine with the stochastic
-//     local-search warm starts on (default) vs off, over the >= 1k-tuple
-//     Person corpus on the NaiveDeduce pipeline. Reports the MaxSAT
-//     probe hit-rate (probes whose SLS upper bound was the true
-//     optimum), the summed rounds >= 1 Suggest and Deduce speedups, and
-//     checks the two configurations resolve identically — SLS only ever
-//     changes time-to-verdict. scripts/bench_smoke.sh gates
-//     identical_results, session_rebuilds == 0, a Suggest speedup floor
-//     (CCR_BENCH_SLS_FLOOR), and a Deduce non-regression floor
-//     (CCR_BENCH_SLS_DEDUCE_FLOOR) — SLS phase publishing once made the
-//     entailment solves measurably slower, so the Deduce ratio may not
-//     silently sink again.
 //   * "deduce_backbone": the backbone Deduce engine (model sweeping,
 //     propagation-only screening, chunked UNSAT certification — see
 //     src/core/deduce.h) on vs off, over the same NaiveDeduce pipeline.
@@ -422,97 +410,9 @@ int main() {
                                   soak_nogc.valid_by_round &&
                               soak_gc.deduced == soak_nogc.deduced;
 
-  // --- SLS warm starts: local search on vs off ---------------------------
-  // NaiveDeduce pipeline (the most solver-bound configuration): the SLS
-  // phases + witness-ring seeding is what the deduce/suggest assumption
-  // solves start from, and the MaxSAT probe is what collapses GetSug's
-  // bound search.
-  ResolveOptions sls_on;
-  sls_on.use_session = true;
-  sls_on.naive_deduce = true;
-  sls_on.max_rounds = 6;
-  ResolveOptions sls_off = sls_on;
-  sls_off.solver.use_sls_seeding = false;
-  sls_off.solver.use_sls_probing = false;
-
-  double sls_suggest_ms = 0, nosls_suggest_ms = 0;
-  double sls_deduce_ms = 0, nosls_deduce_ms = 0;
-  int64_t sls_probes = 0, sls_probe_wins = 0;
-  int64_t sls_flips = 0, sls_seeded_models = 0;
-  int64_t sls_rebuilds = 0;
-  int sls_errors = 0;
-  bool sls_identical = true;
-  // The aggregate suggest time here is a few milliseconds, well inside
-  // scheduler jitter for a single sample — so each configuration is timed
-  // kSlsReps times and the minimum kept (the run least perturbed by the
-  // OS). Counters and the equivalence check come from the first rep; the
-  // runs are deterministic, so later reps would only repeat them.
-  constexpr int kSlsReps = 3;
-  for (int rep = 0; rep < kSlsReps; ++rep) {
-    double rep_sls_suggest = 0, rep_nosls_suggest = 0;
-    double rep_sls_deduce = 0, rep_nosls_deduce = 0;
-    for (size_t e = 0; e < inc_ds.entities.size(); ++e) {
-      TruthOracle os(inc_ds.entities[e].truth, /*answers_per_round=*/1);
-      TruthOracle on(inc_ds.entities[e].truth, /*answers_per_round=*/1);
-      auto rs = Resolve(inc_ds.MakeSpec(static_cast<int>(e)), &os, sls_on);
-      auto rn = Resolve(inc_ds.MakeSpec(static_cast<int>(e)), &on, sls_off);
-      if (!rs.ok() || !rn.ok()) {
-        if (rep == 0) ++sls_errors;
-        continue;
-      }
-      if (rep == 0) {
-        sls_identical = sls_identical && SameResolution(*rs, *rn);
-      }
-      for (const RoundTrace& t : rs->trace) {
-        if (t.round >= 1) {
-          rep_sls_suggest += t.suggest_ms;
-          rep_sls_deduce += t.deduce_ms;
-        }
-        if (rep == 0) {
-          sls_rebuilds += t.num_rebuilds;
-          for (const sat::SolverStats* s :
-               {&t.encode_solver, &t.validity_solver, &t.deduce_solver,
-                &t.suggest_solver}) {
-            sls_probes += s->sls_probes;
-            sls_probe_wins += s->sls_probe_wins;
-            sls_flips += s->sls_flips;
-            sls_seeded_models += s->sls_seeded_models;
-          }
-        }
-      }
-      for (const RoundTrace& t : rn->trace) {
-        if (t.round >= 1) {
-          rep_nosls_suggest += t.suggest_ms;
-          rep_nosls_deduce += t.deduce_ms;
-        }
-      }
-    }
-    if (rep == 0 || rep_sls_suggest < sls_suggest_ms) {
-      sls_suggest_ms = rep_sls_suggest;
-    }
-    if (rep == 0 || rep_nosls_suggest < nosls_suggest_ms) {
-      nosls_suggest_ms = rep_nosls_suggest;
-    }
-    if (rep == 0 || rep_sls_deduce < sls_deduce_ms) {
-      sls_deduce_ms = rep_sls_deduce;
-    }
-    if (rep == 0 || rep_nosls_deduce < nosls_deduce_ms) {
-      nosls_deduce_ms = rep_nosls_deduce;
-    }
-  }
-  const double sls_suggest_speedup =
-      sls_suggest_ms > 0 ? nosls_suggest_ms / sls_suggest_ms : 0.0;
-  const double sls_deduce_speedup =
-      sls_deduce_ms > 0 ? nosls_deduce_ms / sls_deduce_ms : 0.0;
-  const double sls_hit_rate =
-      sls_probes > 0
-          ? static_cast<double>(sls_probe_wins) /
-                static_cast<double>(sls_probes)
-          : 0.0;
-
   // --- backbone Deduce: chunked entailment vs per-pair Lemma-6 -----------
-  // Same solver-bound NaiveDeduce pipeline as the SLS section; the two
-  // configurations differ ONLY in use_backbone_deduce. The counters say
+  // The solver-bound NaiveDeduce pipeline; the two configurations
+  // differ ONLY in use_backbone_deduce. The counters say
   // where the solver calls went: model sweeps and propagation proofs
   // resolve pairs with no solve at all, and each chunk solve certifies up
   // to kBackboneChunkSize entailments at once.
@@ -679,34 +579,6 @@ int main() {
               static_cast<long long>(soak_gc.rebuilds + soak_nogc.rebuilds));
   std::printf("    \"identical_results\": %s\n",
               soak_identical ? "true" : "false");
-  std::printf("  },\n");
-  std::printf("  \"sls_warm_start\": {\n");
-  std::printf("    \"entities\": %d,\n",
-              static_cast<int>(inc_ds.entities.size()));
-  std::printf("    \"min_tuples_per_entity\": %d,\n", min_tuples);
-  std::printf("    \"pipeline\": \"naive_deduce\",\n");
-  std::printf("    \"sls_round1plus_suggest_ms\": %.3f,\n", sls_suggest_ms);
-  std::printf("    \"nosls_round1plus_suggest_ms\": %.3f,\n",
-              nosls_suggest_ms);
-  std::printf("    \"suggest_speedup\": %.3f,\n", sls_suggest_speedup);
-  std::printf("    \"sls_round1plus_deduce_ms\": %.3f,\n", sls_deduce_ms);
-  std::printf("    \"nosls_round1plus_deduce_ms\": %.3f,\n",
-              nosls_deduce_ms);
-  std::printf("    \"deduce_speedup\": %.3f,\n", sls_deduce_speedup);
-  std::printf("    \"sls_probes\": %lld,\n",
-              static_cast<long long>(sls_probes));
-  std::printf("    \"sls_probe_wins\": %lld,\n",
-              static_cast<long long>(sls_probe_wins));
-  std::printf("    \"probe_hit_rate\": %.3f,\n", sls_hit_rate);
-  std::printf("    \"sls_flips\": %lld,\n",
-              static_cast<long long>(sls_flips));
-  std::printf("    \"sls_seeded_models\": %lld,\n",
-              static_cast<long long>(sls_seeded_models));
-  std::printf("    \"resolve_errors\": %d,\n", sls_errors);
-  std::printf("    \"session_rebuilds\": %lld,\n",
-              static_cast<long long>(sls_rebuilds));
-  std::printf("    \"identical_results\": %s\n",
-              sls_identical ? "true" : "false");
   std::printf("  },\n");
   std::printf("  \"deduce_backbone\": {\n");
   std::printf("    \"entities\": %d,\n",

@@ -23,13 +23,6 @@
 #     CCR_BENCH_GC_RECLAIM_FLOOR (default 1000 — the smoke-scale run
 #     deterministically reclaims >= 140k words, so tripping the floor
 #     means compaction stopped firing, not that the runner was noisy), or
-#   * the sls_warm_start section (local-search warm starts on vs off)
-#     reported non-identical resolutions, performed a session rebuild,
-#     fell below its Suggest speedup floor (CCR_BENCH_SLS_FLOOR,
-#     default 1.1 — SLS may only ever change time-to-verdict), or let
-#     SLS slow the Deduce phase below CCR_BENCH_SLS_DEDUCE_FLOOR
-#     (default 0.95 — the regression where soft-biased phase publishing
-#     poisoned the entailment solves may not come back), or
 #   * the deduce_backbone section (backbone Deduce engine on vs off, on
 #     the solver-bound NaiveDeduce pipeline) reported non-identical
 #     resolutions, a resolve error, a session rebuild, a rounds>=1
@@ -69,8 +62,6 @@ FLOOR="${CCR_BENCH_SPEEDUP_FLOOR:-1.5}"
 SUGGEST_FLOOR="${CCR_BENCH_SUGGEST_FLOOR:-1.3}"
 SOLVER_FLOOR="${CCR_BENCH_SOLVER_FLOOR:-1.2}"
 GC_RECLAIM_FLOOR="${CCR_BENCH_GC_RECLAIM_FLOOR:-1000}"
-SLS_FLOOR="${CCR_BENCH_SLS_FLOOR:-1.1}"
-SLS_DEDUCE_FLOOR="${CCR_BENCH_SLS_DEDUCE_FLOOR:-0.95}"
 DEDUCE_FLOOR="${CCR_BENCH_DEDUCE_FLOOR:-1.5}"
 SERVICE_FLOOR="${CCR_BENCH_SERVICE_FLOOR:-1}"
 SCALING_FLOOR="${CCR_BENCH_SCALING_FLOOR:-1.3}"
@@ -89,16 +80,12 @@ echo
 echo "Gating BENCH_throughput.json (incremental floor: ${FLOOR}x," \
      "suggest floor: ${SUGGEST_FLOOR}x, solver floor: ${SOLVER_FLOOR}x," \
      "GC reclaim floor: ${GC_RECLAIM_FLOOR} words," \
-     "SLS suggest floor: ${SLS_FLOOR}x," \
-     "SLS deduce floor: ${SLS_DEDUCE_FLOOR}x," \
      "backbone deduce floor: ${DEDUCE_FLOOR}x," \
      "service floor: ${SERVICE_FLOOR} sessions/s," \
      "scaling floor: ${SCALING_FLOOR}x at 2 threads [gated: ${GATE_SCALING}])"
 jq -e --argjson floor "$FLOOR" --argjson sfloor "$SUGGEST_FLOOR" \
       --argjson solfloor "$SOLVER_FLOOR" \
       --argjson gcfloor "$GC_RECLAIM_FLOOR" \
-      --argjson slsfloor "$SLS_FLOOR" \
-      --argjson slsdedfloor "$SLS_DEDUCE_FLOOR" \
       --argjson dedfloor "$DEDUCE_FLOOR" \
       --argjson svcfloor "$SERVICE_FLOOR" \
       --argjson scalefloor "$SCALING_FLOOR" \
@@ -118,11 +105,6 @@ jq -e --argjson floor "$FLOOR" --argjson sfloor "$SUGGEST_FLOOR" \
   and (.memory_lifecycle.identical_results == true)
   and (.memory_lifecycle.session_rebuilds == 0)
   and (.memory_lifecycle.gc_on.reclaimed_words >= $gcfloor)
-  and (.sls_warm_start.identical_results == true)
-  and (.sls_warm_start.resolve_errors == 0)
-  and (.sls_warm_start.session_rebuilds == 0)
-  and (.sls_warm_start.suggest_speedup >= $slsfloor)
-  and (.sls_warm_start.deduce_speedup >= $slsdedfloor)
   and (.deduce_backbone.identical_results == true)
   and (.deduce_backbone.resolve_errors == 0)
   and (.deduce_backbone.session_rebuilds == 0)
@@ -145,9 +127,6 @@ echo "OK: incremental speedup $(jq .incremental.speedup BENCH_throughput.json)x,
      "solver ablation speedup $(jq .solver_ablation.speedup BENCH_throughput.json)x," \
      "pooling speedup $(jq .allocation_pooling.speedup BENCH_throughput.json)x," \
      "GC reclaimed $(jq .memory_lifecycle.gc_on.reclaimed_words BENCH_throughput.json) arena words," \
-     "SLS suggest speedup $(jq .sls_warm_start.suggest_speedup BENCH_throughput.json)x" \
-     "(probe hit-rate $(jq .sls_warm_start.probe_hit_rate BENCH_throughput.json)," \
-     "deduce $(jq .sls_warm_start.deduce_speedup BENCH_throughput.json)x)," \
      "backbone deduce speedup $(jq .deduce_backbone.speedup BENCH_throughput.json)x" \
      "(calls reduction $(jq .deduce_backbone.calls_reduction BENCH_throughput.json)x)," \
      "service $(jq .service.sessions_per_sec BENCH_throughput.json) sessions/s" \

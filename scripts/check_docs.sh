@@ -7,6 +7,13 @@
 # absolute URLs (http/https/mailto) and pure #anchors. A target with a
 # #fragment is checked for file existence only.
 #
+# Also checks the markdown names that code mentions: every file name
+# ending in .md that a tracked *.h, *.cc, *.cpp or *.sh file mentions
+# must resolve — relative to the repo root or to the mentioning file's
+# directory, or, for a bare name, to the basename of some tracked
+# markdown file. This catches a comment that points readers at a
+# document that was never written or has moved.
+#
 # Usage: scripts/check_docs.sh
 
 set -euo pipefail
@@ -35,8 +42,22 @@ while IFS= read -r md; do
              | sed 's/ ".*"$//')
 done < <(git ls-files '*.md')
 
+md_files="$(git ls-files '*.md')"
+while IFS=: read -r src name; do
+  case "$name" in //*) continue ;; esac  # the tail of a URL
+  [[ -e "$name" || -e "$(dirname "$src")/$name" ]] && continue
+  if [[ "$name" != */* ]] &&
+     grep -qE "(^|/)${name//./\\.}\$" <<<"$md_files"; then
+    continue
+  fi
+  echo "BROKEN: $src names $name" >&2
+  fail=1
+done < <(git ls-files -z '*.h' '*.cc' '*.cpp' '*.sh' \
+           | xargs -0 grep -oHE '[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b' \
+           || true)
+
 if [[ "$fail" != 0 ]]; then
-  echo "FAIL: broken relative links in markdown (see above)" >&2
+  echo "FAIL: broken markdown links or doc names (see above)" >&2
   exit 1
 fi
-echo "OK: all relative markdown links resolve"
+echo "OK: all relative markdown links and doc names in code resolve"

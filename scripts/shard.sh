@@ -15,15 +15,15 @@
 # --engine legacy (re-encode every round) and must serialize to the same
 # bytes: the two engines are interchangeable, shard by shard. A third gate
 # does the same for the solver: --solver legacy (every optional solver
-# engine off — no inprocessing, model cache, arena GC, local search or
+# engine off — no inprocessing, model cache, arena GC, phase seeding or
 # backbone Deduce — around the same CDCL search) must be byte-identical
 # too — the pipeline consumes only SAT verdicts, so the solver engines
 # can never change a resolution. A fourth gate runs
 # --solver nogc (arena GC off, every other engine on): compaction
 # relocates clauses, and that may not move a single result byte. A fifth
-# gate runs --solver nosls (local-search seeding and MaxSAT upper-bound
-# probing off): SLS reorders which models CDCL finds and which bound the
-# Sinz search tries first, and none of it may move a result byte either.
+# gate runs --solver nosls (saved-phase seeding off): seeding decides
+# which witness models the cache holds, and so which model some solves
+# return, and that may not move a result byte either.
 # A sixth gate pins
 # the backbone Deduce engine: on the --deduce naive pipeline (where the
 # flag is live), the default chunked/model-sweeping engine and --solver
@@ -116,14 +116,14 @@ else
   exit 1
 fi
 
-echo "Local-search exactness: SLS warm starts (default, on) vs" \
+echo "Phase-seeding exactness: saved-phase seeding (default, on) vs" \
      "--solver nosls..."
 "$BIN" "${FLAGS[@]}" --solver nosls --no-timings \
   --out "$WORK_DIR/nosls_solver.json"
 if cmp "$WORK_DIR/nosls_solver.json" "$WORK_DIR/single.json"; then
-  echo "OK: SLS-off run is byte-identical to the default run"
+  echo "OK: seeding-off run is byte-identical to the default run"
 else
-  echo "FAIL: SLS-off result differs from the default run" >&2
+  echo "FAIL: seeding-off result differs from the default run" >&2
   diff "$WORK_DIR/nosls_solver.json" "$WORK_DIR/single.json" >&2 || true
   exit 1
 fi

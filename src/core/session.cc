@@ -85,16 +85,13 @@ Result<ResolutionSession> ResolutionSession::Create(
   BuildCnfInto(*s.inst_, s.cnf_);
   s.FeedSolver();
   // Inprocessing cadence: the freshly built Φ(Se) is the baseline; every
-  // ExtendWith ends in a Simplify() that vivifies and backward-subsumes
-  // exactly the round's appended delta against the whole database.
+  // ExtendWith ends in a Simplify() that vivifies exactly the round's
+  // appended delta against the whole database.
   if (s.options_.solver.use_inprocessing) s.solver_->PrimeInprocessing();
-  // SLS warm start: a local-search pass under the active guards installs
-  // a near-model into the saved phases (and, when fully satisfying, the
-  // witness ring) before the first validity solve ever runs. Skipped on
-  // NaiveDeduce pipelines: phases steered toward one arbitrary model
-  // bias every Lemma-6 entailment solve away from the easy
-  // counterexample models the Deduce phase lives on — a measured net
-  // slowdown (the bench sls_warm_start.deduce_speedup floor guards it).
+  // Saved-phase check: when the phases under the active guards already
+  // form a model, it enters the witness ring before the first validity
+  // solve runs. Skipped on NaiveDeduce pipelines, the paper's Fig. 8(b)
+  // baseline, which keep their plain solve sequence.
   if (s.options_.solver.use_sls_seeding && !s.options_.naive_deduce) {
     s.solver_->SeedFromLocalSearch(s.inst_->guard_assumptions());
   }
@@ -156,12 +153,9 @@ Status ResolutionSession::ExtendWith(const PartialTemporalOrder& ot) {
   // SolverOptions::gc_frac — which is what keeps a multi-hundred-round
   // session's solver memory proportional to its live clause set.
   solver_->Simplify();
-  // Re-seed from local search: the phases still hold (near) the previous
-  // round's model, so a short pass usually repairs it against the delta
-  // and refills the witness ring the extension just invalidated — the
-  // next validity/deduce solves start warm. Skipped on NaiveDeduce
-  // pipelines for the same reason as in Create: soft-biased phases
-  // poison the entailment sweep.
+  // The phases still hold the previous round's model; when it survives
+  // the delta, it refills the witness ring the extension just
+  // invalidated. Skipped on NaiveDeduce pipelines, as in Create.
   if (options_.solver.use_sls_seeding && !options_.naive_deduce &&
       !solver_->IsUnsatForever()) {
     solver_->SeedFromLocalSearch(inst_->guard_assumptions());

@@ -66,9 +66,9 @@ class SessionScratch {
   Instantiation* AcquireInstantiation();
 
   /// WalkSAT working buffers (occurrence CSR, counters, unsat stack) for
-  /// the CNF-form RunWalkSat, kept warm across calls — the same pooling
-  /// pattern as AcquireInstantiation. The buffers carry no semantic state
-  /// between runs (RunWalkSat reinitializes them), so no reset is needed.
+  /// RunWalkSat, kept warm across calls — the same pooling pattern as
+  /// AcquireInstantiation. The buffers carry no semantic state between
+  /// runs (RunWalkSat reinitializes them), so no reset is needed.
   maxsat::WalkSatScratch* AcquireWalkSatScratch();
 
   /// DeduceOrder's unit-propagation buffers (occurrence lists, clause

@@ -2,14 +2,14 @@
 // variables x^A_{a1 a2} (§V-A).
 //
 // The order domain of attribute A is adom(Ie.A) plus the constants that
-// constant CFDs can introduce as repaired current values. Following the
-// remark in DESIGN.md, CFD constants are added by a reachability fixpoint:
-// a CFD is *applicable* when every LHS constant is already in its
-// attribute's domain, and an applicable CFD adds its RHS constant. CFDs
-// that can never fire on this entity are dropped, which keeps the domain —
-// and the O(d^3) transitivity encoding — proportional to the entity
-// instead of to |Γ| (the paper's 1000-pattern CFD sets would otherwise
-// blow up the CNF).
+// constant CFDs can introduce as repaired current values. As
+// docs/ARCHITECTURE.md ("Semantic decisions") records, CFD constants are
+// added by a reachability fixpoint: a CFD is *applicable* when every LHS
+// constant is already in its attribute's domain, and an applicable CFD
+// adds its RHS constant. CFDs that can never fire on this entity are
+// dropped, which keeps the domain — and the O(d^3) transitivity encoding —
+// proportional to the entity instead of to |Γ| (the paper's 1000-pattern
+// CFD sets would otherwise blow up the CNF).
 
 #ifndef CCR_ENCODE_VARMAP_H_
 #define CCR_ENCODE_VARMAP_H_

@@ -1,7 +1,5 @@
 #include "src/maxsat/maxsat.h"
 
-#include <algorithm>
-
 #include "src/common/status.h"
 
 namespace ccr::maxsat {
@@ -54,35 +52,6 @@ MaxSatResult IncrementalMaxSat::Solve(
   const int num_orig = solver_->num_vars();
 
   std::vector<Lit> base(extra_assumptions.begin(), extra_assumptions.end());
-  // SLS upper-bound probe (use_sls_probing): one budgeted local-search
-  // pass over hard+soft under the same assumptions, before anything is
-  // encoded. A feasible pass missing u softs bounds the optimum from
-  // above — the exact search below then verifies downward from u instead
-  // of climbing from 0 — and its assignment is a genuine model that
-  // pre-warms the solver's witness ring, usually turning the hard check
-  // into a cache hit. Verdicts cannot change: every bound k is still
-  // decided by the CDCL solver, and a misestimated u only changes which
-  // k values get queried.
-  sat::LocalSearchResult probe;
-  if (solver_->options().use_sls_probing) {
-    probe = solver_->SeedFromLocalSearch(
-        std::span<const Lit>(base.data(), base.size()), soft);
-    if (n > 0 && probe.feasible && probe.soft_unsat == 0) {
-      // The probe's assignment is a genuine model (every live clause
-      // verified) satisfying every soft: optimum 0 is witnessed exactly.
-      // An exact witness cannot be improved or contradicted, so the
-      // relaxation, counter, and every CDCL call are skipped outright.
-      // The verdict is what the exact search would compute; only the
-      // (non-canonical either way) model differs.
-      solver_->RecordSlsProbe(true);
-      result.hard_satisfiable = true;
-      result.num_satisfied = n;
-      result.soft_satisfied.assign(static_cast<size_t>(n), true);
-      result.model.resize(static_cast<size_t>(num_orig));
-      for (Var v = 0; v < num_orig; ++v) result.model[v] = probe.model[v] != 0;
-      return result;
-    }
-  }
   if (solver_->SolveWithAssumptions(base) != SolveResult::kSat) {
     return result;
   }
@@ -132,42 +101,19 @@ MaxSatResult IncrementalMaxSat::Solve(
     }
   }
 
-  // Bound search. Without a probe: linear climb — the first satisfiable
-  // k is the exact optimum (k = n never needs a bound; all softs dropped
-  // is satisfiable by the hard check above). With a feasible probe of u
-  // unsatisfied softs: its assignment is a genuine model leaving u softs
-  // open, so bound u is satisfiable; walk downward until UNSAT —
-  // identical optimum, and when the probe is exact the whole search is
-  // one SAT (at u) plus one UNSAT (at u-1) solve.
+  // Bound search: linear climb — the first satisfiable k is the exact
+  // optimum (k = n never needs a bound; all softs dropped is satisfiable
+  // by the hard check above).
   int best_k = n;
   std::vector<Lit> assume = base;
-  const auto sat_at = [&](int k) {
+  for (int k = 0; k < n; ++k) {
     assume.push_back(Lit::Neg(count[n - 1][k]));
     const SolveResult r = solver_->SolveWithAssumptions(assume);
     assume.pop_back();
-    return r == SolveResult::kSat;
-  };
-  // A probe whose bound is u == n is trivially true and carries no
-  // information — walking down from n would cost up to n solves where
-  // the climb finds a low optimum in one. Treat it as no probe.
-  const bool probed =
-      probe.ran && probe.feasible && probe.soft_unsat < n;
-  const int u = probed ? std::min(probe.soft_unsat, n) : n;
-  if (!probed) {
-    for (int k = 0; k < n; ++k) {
-      if (sat_at(k)) {
-        best_k = k;
-        break;
-      }
+    if (r == SolveResult::kSat) {
+      best_k = k;
+      break;
     }
-  } else {
-    const bool u_reachable = sat_at(u);
-    CCR_CHECK(u_reachable);
-    best_k = u;
-    while (best_k > 0 && sat_at(best_k - 1)) --best_k;
-  }
-  if (solver_->options().use_sls_probing) {
-    solver_->RecordSlsProbe(probed && best_k == u);
   }
 
   // Canonical extraction: fix selectors in soft-index order, keeping each

@@ -5,12 +5,8 @@
 // scored by the number of clauses a flip breaks. It doubles as an
 // approximate MaxSAT engine (best assignment seen = most clauses
 // satisfied), which the ablation bench compares against the exact engine
-// in maxsat.h. Two entry points share the options and result types: the
-// CNF form below (paper-faithful, runs on pooled WalkSatScratch buffers)
-// and the solver form, which runs the same search directly on a live
-// Solver's clause arena and binary watch lists with no CNF copy —
-// the engine behind Solver::SeedFromLocalSearch and the hot-path
-// warm starts.
+// in maxsat.h. It runs on a CNF with pooled WalkSatScratch buffers; the
+// resolution pipeline never calls it.
 
 #ifndef CCR_MAXSAT_WALKSAT_H_
 #define CCR_MAXSAT_WALKSAT_H_
@@ -21,7 +17,7 @@
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/sat/cnf.h"
-#include "src/sat/solver.h"
+#include "src/sat/literal.h"
 
 namespace ccr::maxsat {
 
@@ -71,15 +67,6 @@ struct WalkSatScratch {
 Result<WalkSatResult> RunWalkSat(const sat::Cnf& cnf,
                                  const WalkSatOptions& options,
                                  WalkSatScratch* scratch = nullptr);
-
-/// Runs the same search directly on `solver`'s clause arena and binary
-/// watch lists — no CNF copy; the scratch is the solver's own pooled
-/// local-search buffers. Variables fixed at level 0 never flip, and as a
-/// side effect the best assignment seeds the solver's saved phases /
-/// model cache exactly as SeedFromLocalSearch does. Precondition:
-/// decision level 0.
-Result<WalkSatResult> RunWalkSat(sat::Solver* solver,
-                                 const WalkSatOptions& options);
 
 }  // namespace ccr::maxsat
 

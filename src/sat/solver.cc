@@ -1,10 +1,8 @@
 #include "src/sat/solver.h"
 
 #include <algorithm>
-#include <climits>
 #include <string>
 
-#include "src/common/rng.h"
 #include "src/common/status.h"
 
 namespace ccr::sat {
@@ -18,48 +16,14 @@ constexpr double kClauseDecay = 0.999;
 // Restart after kRestartBase * Luby(i) conflicts in the i-th search run.
 constexpr int64_t kRestartBase = 100;
 
-// Inprocessing budgets per Simplify() call, so the between-round pass
-// stays a small fraction of the round's solve time even on the first call
-// (which sees the whole initial encoding, not just a delta).
-constexpr int64_t kSubsumptionStepBudget = 2'000'000;  // literal compares
-constexpr int64_t kVivifyPropBudget = 200'000;         // trail literals
+// Vivification budget per Simplify() call (trail literals), so the
+// between-round pass stays a small fraction of the round's solve time.
+constexpr int64_t kVivifyPropBudget = 200'000;
 
 // A relocated clause leaves this in its header slot, with the forwarding
 // reference in the next word. No live header can collide: the smallest
 // stored clause has size 2, so every real header is >= (2 << 3) = 16.
 constexpr uint32_t kMovedHeader = 7;
-
-// Stochastic local search (SeedFromLocalSearch) auto-budget: flips per
-// try scale with the number of unfixed variables in the active
-// subformula, capped so a huge session solver never spends more than a
-// small slice of a real solve on seeding.
-constexpr int64_t kSlsFlipsBase = 256;
-constexpr int64_t kSlsFlipsPerVar = 1;
-constexpr int64_t kSlsFlipsCap = 1 << 13;
-// Tries per pass (try 0 starts from the saved phases, later tries from a
-// random assignment) and the WalkSAT noise: the probability of a random
-// rather than greedy minimum-break flip in a step with no freebie move.
-constexpr int kSlsTries = 2;
-constexpr double kSlsNoise = 0.5;
-// Greedy repair (the middle tier between "phases are already a model"
-// and the full WalkSAT search): only attempted when the evaluation scan
-// finds at most kSlsRepairMaxUnsat falsified clauses, and bounded to
-// kSlsRepairMaxFlips minimum-break flips before giving up.
-constexpr size_t kSlsRepairMaxUnsat = 64;
-constexpr int64_t kSlsRepairMaxFlips = 512;
-constexpr int kSlsRepairRounds = 3;
-// Soft-improvement pass: per falsified soft, the repair chain triggered
-// by flipping it true may spend this many flips before rolling back.
-// Deliberately small: successful chains are short (the soft was one
-// near-satisfied implication away), and failed chains are pure cost.
-constexpr int64_t kSlsSoftChainFlips = 24;
-// Incremental verification cache limits: fall back to a full scan when
-// more variables changed since the last verified assignment, and void
-// the cache when more problem binaries were added than the log holds.
-constexpr size_t kSlsDiffMaxVars = 2048;
-constexpr size_t kSlsBinLogCap = 4096;
-// Base of the salted RNG seed stream (arbitrary fixed constant).
-constexpr uint64_t kSlsSeedBase = 0x51e5'5eed'c0de'2013ULL;
 
 }  // namespace
 
@@ -69,7 +33,6 @@ std::span<const SolverPreset> SolverPresets() {
     nogc.use_arena_gc = false;
     SolverOptions nosls;
     nosls.use_sls_seeding = false;
-    nosls.use_sls_probing = false;
     SolverOptions nobackbone;
     nobackbone.use_backbone_deduce = false;
     return std::vector<SolverPreset>{
@@ -112,9 +75,6 @@ Var Solver::NewVar() {
   while (bins_.size() < 2 * static_cast<size_t>(v) + 2) {
     bins_.emplace_back();
   }
-  while (occur_.size() < static_cast<size_t>(v) + 1) {
-    occur_.emplace_back();
-  }
   HeapInsert(v);
   return v;
 }
@@ -126,12 +86,6 @@ void Solver::Reset(SolverOptions options) {
   ok_ = true;
   arena_.clear();
   clauses_.clear();
-  sls_verified_val_.clear();
-  sls_verified_clauses_ = 0;
-  sls_epoch_ = 0;
-  sls_verified_epoch_ = 0;
-  sls_bin_log_overflow_ = false;
-  sls_new_bins_.clear();
   learnts_.clear();
   // Keep the outer vectors (and each inner list's buffer); NewVar re-adopts
   // the lists as the variable universe regrows.
@@ -158,20 +112,14 @@ void Solver::Reset(SolverOptions options) {
   model_.clear();
   conflict_core_.clear();
   max_learnts_ = 0;
-  inproc_watermark_ = 0;
-  pending_bins_.clear();
   vivify_primed_ = false;
   arena_dead_words_ = 0;
   arena_peak_words_ = 0;
   arena_tmp_.clear();
-  for (std::vector<ClauseRef>& o : occur_) o.clear();
   model_fresh_ = false;
   model_pool_.clear();
   model_pool_next_ = 0;
   probe_base_level_ = -1;
-  // The scratch buffers keep their capacity; only the salt is observable
-  // (it drives the local-search RNG stream).
-  sls_salt_ = 0;
 }
 
 Solver::ClauseRef Solver::AllocClause(const std::vector<Lit>& lits,
@@ -182,24 +130,12 @@ Solver::ClauseRef Solver::AllocClause(const std::vector<Lit>& lits,
   CCR_CHECK(ref < kRefBinaryFlag);
   arena_.push_back((static_cast<uint32_t>(lits.size()) << 3) |
                    (learnt ? 1u : 0u));
-  arena_.push_back(0);  // activity bits / sig lo
-  arena_.push_back(0);  // sig hi
+  arena_.push_back(0);  // activity bits
   for (Lit l : lits) {
     arena_.push_back(static_cast<uint32_t>(l.index()));
   }
   arena_peak_words_ = std::max(arena_peak_words_, arena_.size());
   return ref;
-}
-
-void Solver::StoreClauseSig(ClauseRef c) {
-  CCR_DCHECK(!ClauseLearnt(c));
-  uint64_t s = 0;
-  const Lit* lits = ClauseLits(c);
-  for (int k = 0; k < ClauseSize(c); ++k) {
-    s |= 1ull << (lits[k].var() & 63);
-  }
-  arena_[c + 1] = static_cast<uint32_t>(s);
-  arena_[c + 2] = static_cast<uint32_t>(s >> 32);
 }
 
 void Solver::AttachClause(ClauseRef c) {
@@ -261,27 +197,10 @@ bool Solver::AddClause(std::vector<Lit> lits) {
     // Binaries never touch the arena: they live in the implicit
     // implication lists and propagate with literal-encoded reasons.
     AttachBinary(out[0], out[1]);
-    if (options_.use_inprocessing) {
-      pending_bins_.emplace_back(out[0], out[1]);
-    }
-    // Log for the incremental SLS verification cache (learnt binaries
-    // need no log: they are implied, so any genuine model of the
-    // problem clauses satisfies them automatically).
-    if (!sls_verified_val_.empty() && !sls_bin_log_overflow_) {
-      if (sls_new_bins_.size() < kSlsBinLogCap) {
-        sls_new_bins_.emplace_back(out[0], out[1]);
-      } else {
-        sls_bin_log_overflow_ = true;
-      }
-    }
     return true;
   }
   const ClauseRef c = AllocClause(out, /*learnt=*/false);
-  StoreClauseSig(c);
   clauses_.push_back(c);
-  if (options_.use_inprocessing) {
-    for (Lit l : out) occur_[l.var()].push_back(c);
-  }
   AttachClause(c);
   return true;
 }
@@ -695,21 +614,7 @@ void Solver::SweepSatisfiedProblem() {
 }
 
 void Solver::CompactProblemClauses() {
-  // Compaction shifts clause indices under the SLS verification
-  // watermark; void the cache rather than track the shuffle.
-  ++sls_epoch_;
-  size_t j = 0;
-  size_t wm = inproc_watermark_;
-  for (size_t i = 0; i < clauses_.size(); ++i) {
-    if (ClauseDead(clauses_[i])) {
-      if (i < inproc_watermark_) --wm;
-      continue;
-    }
-    clauses_[j++] = clauses_[i];
-  }
-  clauses_.resize(j);
-  inproc_watermark_ = wm;
-  CCR_DCHECK(inproc_watermark_ <= clauses_.size());
+  std::erase_if(clauses_, [this](ClauseRef c) { return ClauseDead(c); });
 }
 
 void Solver::SweepBinaries() {
@@ -745,10 +650,7 @@ bool Solver::Simplify() {
   SweepSatisfiedLearnts();
   SweepSatisfiedProblem();
   SweepBinaries();
-  if (options_.use_inprocessing) {
-    SubsumptionPass();
-    if (ok_) VivificationPass();
-  }
+  if (options_.use_inprocessing) VivificationPass();
   MaybeGarbageCollect();
   return ok_;
 }
@@ -756,8 +658,6 @@ bool Solver::Simplify() {
 void Solver::PrimeInprocessing() {
   for (ClauseRef c : clauses_) SetClauseVivified(c, true);
   vivify_primed_ = true;
-  inproc_watermark_ = clauses_.size();
-  pending_bins_.clear();
 }
 
 bool Solver::FreezeScope(Lit activation, std::span<const Var> vars) {
@@ -949,757 +849,47 @@ SolveResult Solver::Search(int64_t conflict_budget,
 }
 
 void Solver::CacheCurrentModel() {
-  // Free re-anchor for the incremental SLS verification cache: the
-  // complete conflict-free assignment in hand is a proven model of
-  // every live clause, so it can serve as the diff baseline without any
-  // scan. Only re-anchor when the formula moved past the cached state —
-  // steady-state solve streams then pay nothing.
-  if ((options_.use_sls_seeding || options_.use_sls_probing) &&
-      options_.use_inprocessing &&
-      (sls_verified_val_.empty() || sls_verified_epoch_ != sls_epoch_ ||
-       sls_verified_clauses_ != clauses_.size() ||
-       sls_verified_val_.size() != assigns_.size())) {
-    sls_verified_val_.resize(assigns_.size());
-    for (size_t v = 0; v < assigns_.size(); ++v) {
-      sls_verified_val_[v] = assigns_[v] == Lbool::kTrue ? 1 : 0;
-    }
-    sls_verified_clauses_ = clauses_.size();
-    sls_verified_epoch_ = sls_epoch_;
-    sls_new_bins_.clear();
-    sls_bin_log_overflow_ = false;
-  }
   if (!options_.use_model_cache) return;
-  if (model_fresh_ && !model_.empty()) {
-    // Rotate the previous newest model into the ring.
-    if (model_pool_.size() < kModelPoolSize) {
-      model_pool_.push_back(model_);
-    } else {
-      model_pool_[model_pool_next_] = model_;
-      model_pool_next_ = (model_pool_next_ + 1) % kModelPoolSize;
-    }
-  }
+  // Rotate the previous newest model into the ring.
+  if (model_fresh_ && !model_.empty()) PushWitness(model_);
   model_fresh_ = true;
 }
 
-LocalSearchResult Solver::SeedFromLocalSearch(
-    std::span<const Lit> assumptions, std::span<const std::vector<Lit>> softs,
-    const LocalSearchBudget& budget) {
-  LocalSearchResult out;
+void Solver::PushWitness(std::vector<Lbool> m) {
+  if (model_pool_.size() < kModelPoolSize) {
+    model_pool_.push_back(std::move(m));
+  } else {
+    model_pool_[model_pool_next_] = std::move(m);
+    model_pool_next_ = (model_pool_next_ + 1) % kModelPoolSize;
+  }
+}
+
+bool Solver::SeedFromLocalSearch(std::span<const Lit> assumptions) {
   CCR_DCHECK(DecisionLevel() == 0);
-  if (!ok_) return out;
-
-  const int nv = num_vars();
-  SlsScratch& s = sls_;
-
-  // Fix the variables the search must not touch: the level-0 trail and
-  // the assumption literals. Everything else starts at its saved phase,
-  // so a solver that just produced a model searches from (near) that
-  // model.
-  s.fixed.assign(static_cast<size_t>(nv), 0);
-  s.val.resize(static_cast<size_t>(nv));
-  for (Var v = 0; v < nv; ++v) {
-    if (assigns_[v] != Lbool::kUndef) {
-      s.fixed[v] = 1;
-      s.val[v] = assigns_[v] == Lbool::kTrue ? 1 : 0;
-    } else {
-      s.val[v] = polarity_[v] ? 0 : 1;
+  if (!ok_) return false;
+  // The level-0 trail, then the assumptions, then the saved phases.
+  std::vector<Lbool> m(assigns_);
+  for (Var v = 0; v < num_vars(); ++v) {
+    if (m[v] == Lbool::kUndef) {
+      m[v] = polarity_[v] ? Lbool::kFalse : Lbool::kTrue;
     }
   }
   for (Lit a : assumptions) {
-    const uint8_t want = a.negated() ? 0 : 1;
-    if (s.fixed[a.var()] && s.val[a.var()] != want) return out;
-    s.fixed[a.var()] = 1;
-    s.val[a.var()] = want;
-  }
-  // Prefer the last verified assignment over saved phases as the free
-  // variables' starting point whenever the cache is still valid: it is
-  // a genuine model of everything up to the cache point, so the initial
-  // violation set shrinks to the formula delta plus fixing conflicts. A
-  // solve stream that ends UNSAT leaves saved phases nowhere near a
-  // model; the cache still remembers one.
-  if (!sls_verified_val_.empty() && sls_verified_epoch_ == sls_epoch_ &&
-      !sls_bin_log_overflow_ && sls_verified_clauses_ <= clauses_.size()) {
-    const Var anchored = static_cast<Var>(
-        std::min(sls_verified_val_.size(), static_cast<size_t>(nv)));
-    for (Var v = 0; v < anchored; ++v) {
-      if (!s.fixed[v]) s.val[v] = sls_verified_val_[v];
+    if (a.var() >= num_vars()) return false;
+    if (assigns_[a.var()] == Lbool::kUndef) {
+      m[a.var()] = a.negated() ? Lbool::kFalse : Lbool::kTrue;
     }
   }
-
-  // Tier 0: a cached genuine model that satisfies the assumptions
-  // decides the call with no clause scan at all. The fresh model_ and
-  // every pooled witness satisfy every live clause and all implied
-  // units by the cache invariant (anything that could break that
-  // invalidates the cache), so only the assumptions and softs need
-  // evaluating — O(pool × |assumptions| + |softs|).
+  // Fails when an assumption contradicts the trail or another assumption.
+  if (!ModelWitnesses(m, assumptions) || !SatisfiesLive(m)) return false;
   if (options_.use_model_cache) {
-    const auto try_model = [&](const std::vector<Lbool>& m) {
-      // A shorter model predates variables added since; those could
-      // appear in the softs, so pass on it.
-      if (m.size() < static_cast<size_t>(nv)) return false;
-      for (Lit a : assumptions) {
-        if (LboolOf(m[a.var()], a.negated()) != Lbool::kTrue) return false;
-      }
-      return true;
-    };
-    const std::vector<Lbool>* hit = nullptr;
-    if (model_fresh_ && try_model(model_)) hit = &model_;
-    for (size_t k = 0; !hit && k < model_pool_.size(); ++k) {
-      if (try_model(model_pool_[k])) hit = &model_pool_[k];
-    }
-    if (hit) {
-      const std::vector<Lbool>& m = *hit;
-      CCR_DCHECK(DebugModelSatisfiesLive(m));
-      int soft_unsat = 0;
-      for (const std::vector<Lit>& soft : softs) {
-        bool sat = false;
-        for (Lit l : soft) {
-          CCR_DCHECK(l.var() >= 0 && l.var() < nv);
-          sat = sat || LboolOf(m[l.var()], l.negated()) == Lbool::kTrue;
-        }
-        if (!sat) ++soft_unsat;
-      }
-      out.ran = true;
-      out.feasible = true;
-      out.hard_unsat = 0;
-      out.soft_unsat = soft_unsat;
-      out.model.resize(static_cast<size_t>(nv));
-      for (Var v = 0; v < nv; ++v) out.model[v] = m[v] == Lbool::kTrue ? 1 : 0;
-      // Phases and the witness ring stay as they are: the CDCL descent
-      // will re-find this very model as a pool hit.
-      return out;
-    }
+    PushWitness(std::move(m));
+    ++stats_.sls_seeded_models;
   }
-
-  // Fast path: on a warm solver the saved phases usually still form a
-  // model (the last solve saved them from one) or miss one by only a
-  // handful of clauses, so one early-exit evaluation pass plus a bounded
-  // greedy repair decides most calls — no clause pool, no CSR occurrence
-  // build, no restarts. Anything beyond repair's reach falls through to
-  // the full search below.
-  {
-    const auto val_true = [&](Lit l) {
-      return (s.val[l.var()] != 0) != l.negated();
-    };
-    // A falsified item found by the scan: a live arena clause, or a
-    // mirrored binary (ref == kRefUndef).
-    struct Bad {
-      ClauseRef ref;
-      Lit a, b;
-    };
-    std::vector<Bad> worklist;
-    bool any_unsat = false;
-    // Scans every live clause and binary. With collect, falsified items
-    // land in the worklist until it would exceed kSlsRepairMaxUnsat;
-    // without, the scan is a pure early-exit feasibility check. Either
-    // way any_unsat reports whether an (uncollected) falsified item
-    // exists.
-    const auto scan_all = [&](bool collect) {
-      worklist.clear();
-      any_unsat = false;
-      for (ClauseRef c : clauses_) {
-        if (ClauseDead(c)) continue;
-        const Lit* lits = ClauseLits(c);
-        const int sz = ClauseSize(c);
-        bool sat = false;
-        for (int i = 0; i < sz && !sat; ++i) sat = val_true(lits[i]);
-        if (!sat) {
-          if (!collect || worklist.size() >= kSlsRepairMaxUnsat) {
-            any_unsat = true;
-            return;
-          }
-          worklist.push_back({c, kLitUndef, kLitUndef});
-        }
-      }
-      for (int32_t i = 0; i < 2 * nv; ++i) {
-        const Lit u = ~Lit::FromIndex(i);
-        for (Lit q : bins_[i]) {
-          if (u.index() > q.index()) continue;
-          if (!val_true(u) && !val_true(q)) {
-            if (!collect || worklist.size() >= kSlsRepairMaxUnsat) {
-              any_unsat = true;
-              return;
-            }
-            worklist.push_back({kRefUndef, u, q});
-          }
-        }
-      }
-    };
-    // Publishes the current s.val as a feasible result: scores the
-    // softs and pushes the model into the witness ring exactly as the
-    // search below would. Only legal right after a scan proved every live
-    // clause satisfied.
-    const auto publish = [&] {
-      int soft_unsat = 0;
-      for (const std::vector<Lit>& soft : softs) {
-        bool sat = false;
-        for (Lit l : soft) {
-          CCR_DCHECK(l.var() >= 0 && l.var() < nv);
-          sat = sat || val_true(l);
-        }
-        if (!sat) ++soft_unsat;
-      }
-      out.ran = true;
-      out.feasible = true;
-      out.hard_unsat = 0;
-      out.soft_unsat = soft_unsat;
-      out.model.assign(s.val.begin(), s.val.end());
-      std::vector<Lbool> m(static_cast<size_t>(nv));
-      for (Var v = 0; v < nv; ++v) {
-        m[v] = s.val[v] ? Lbool::kTrue : Lbool::kFalse;
-      }
-      CCR_DCHECK(DebugModelSatisfiesLive(m));
-      if (options_.use_model_cache) {
-        if (model_pool_.size() < kModelPoolSize) {
-          model_pool_.push_back(std::move(m));
-        } else {
-          model_pool_[model_pool_next_] = std::move(m);
-          model_pool_next_ = (model_pool_next_ + 1) % kModelPoolSize;
-        }
-        ++stats_.sls_seeded_models;
-      }
-      // Record the assignment as verified against the current formula so
-      // the next call can diff instead of rescanning.
-      sls_verified_val_.assign(s.val.begin(), s.val.end());
-      sls_verified_clauses_ = clauses_.size();
-      sls_verified_epoch_ = sls_epoch_;
-      sls_new_bins_.clear();
-      sls_bin_log_overflow_ = false;
-    };
-    // Incremental verification: diff the candidate assignment against
-    // the last verified one and re-check only what could have changed
-    // truth value — clauses holding a changed variable (via the
-    // persistent occurrence index and the binary lists), arena clauses
-    // appended since, and logged new problem binaries. Everything else
-    // holds by induction: identical clause content (the epoch guard),
-    // identical variable values, satisfied at the last verification.
-    // Learnt binaries of unchanged variables need no check: they are
-    // implied, and an assignment satisfying every problem clause
-    // satisfies implications automatically.
-    const auto try_incremental = [&] {
-      if (!options_.use_inprocessing || sls_verified_val_.empty() ||
-          sls_verified_epoch_ != sls_epoch_ || sls_bin_log_overflow_ ||
-          sls_verified_clauses_ > clauses_.size()) {
-        return false;
-      }
-      const Var old_nv = static_cast<Var>(
-          std::min(sls_verified_val_.size(), static_cast<size_t>(nv)));
-      size_t changed = static_cast<size_t>(nv - old_nv);
-      for (Var v = 0; v < old_nv; ++v) {
-        if (s.val[v] != sls_verified_val_[v]) ++changed;
-      }
-      if (changed > kSlsDiffMaxVars) return false;
-      worklist.clear();
-      any_unsat = false;
-      const auto check_clause = [&](ClauseRef d) {
-        if (ClauseDead(d)) return;
-        const Lit* dl = ClauseLits(d);
-        const int dsz = ClauseSize(d);
-        bool sat = false;
-        for (int i = 0; i < dsz && !sat; ++i) sat = val_true(dl[i]);
-        if (!sat) worklist.push_back({d, kLitUndef, kLitUndef});
-      };
-      const auto check_var = [&](Var v) {
-        for (ClauseRef d : occur_[v]) check_clause(d);
-        for (int sign = 0; sign < 2; ++sign) {
-          const Lit u(v, sign != 0);
-          if (val_true(u)) continue;  // u true: its binaries all hold
-          for (Lit q : bins_[(~u).index()]) {
-            if (!val_true(q)) worklist.push_back({kRefUndef, u, q});
-          }
-        }
-      };
-      for (Var v = 0; v < old_nv; ++v) {
-        if (s.val[v] != sls_verified_val_[v]) check_var(v);
-      }
-      for (Var v = old_nv; v < nv; ++v) check_var(v);
-      for (size_t i = sls_verified_clauses_; i < clauses_.size(); ++i) {
-        check_clause(clauses_[i]);
-      }
-      for (const auto& [a, b] : sls_new_bins_) {
-        if (!val_true(a) && !val_true(b)) {
-          worklist.push_back({kRefUndef, a, b});
-        }
-      }
-      return true;
-    };
-
-    // Break count of flipping v: live clauses where v's currently true
-    // literal is the lone satisfier, plus binaries it alone holds up.
-    const auto breaks_of = [&](Var v) {
-      const Lit t = Lit(v, s.val[v] == 0);
-      int b = 0;
-      for (ClauseRef d : occur_[v]) {
-        if (ClauseDead(d)) continue;
-        const Lit* dl = ClauseLits(d);
-        const int dsz = ClauseSize(d);
-        int true_cnt = 0;
-        bool t_sats = false;
-        for (int i = 0; i < dsz && true_cnt < 2; ++i) {
-          if (val_true(dl[i])) {
-            ++true_cnt;
-            t_sats = t_sats || dl[i] == t;
-          }
-        }
-        if (true_cnt == 1 && t_sats) ++b;
-      }
-      for (Lit q : bins_[(~t).index()]) {
-        if (!val_true(q)) ++b;
-      }
-      return b;
-    };
-    // Chase what a flip of v just falsified: clauses holding the
-    // now-false literal of v with nothing else true, via the occurrence
-    // index and the binary lists.
-    const auto chase = [&](Var v) {
-      const Lit now_false = Lit(v, s.val[v] != 0);
-      for (ClauseRef d : occur_[v]) {
-        if (ClauseDead(d)) continue;
-        const Lit* dl = ClauseLits(d);
-        const int dsz = ClauseSize(d);
-        bool dsat = false;
-        for (int i = 0; i < dsz && !dsat; ++i) dsat = val_true(dl[i]);
-        if (!dsat) worklist.push_back({d, kLitUndef, kLitUndef});
-      }
-      for (Lit q : bins_[(~now_false).index()]) {
-        if (!val_true(q)) worklist.push_back({kRefUndef, now_false, q});
-      }
-    };
-    // Greedy min-break drain of the worklist (shared by the repair tier
-    // and the soft-improvement pass): pops falsified items, flips the
-    // minimum-break free variable of each (ties to the lowest id —
-    // fully deterministic, no RNG draw), and chases what every flip
-    // breaks. Flipped variables append to s.cand. Returns true only
-    // when the worklist fully drained within the flip budget.
-    const auto drain = [&](int64_t max_flips) {
-      int64_t flips = 0;
-      bool stuck = false;
-      size_t head = 0;
-      while (head < worklist.size() && flips < max_flips) {
-        const Bad item = worklist[head++];
-        // Lazy recheck: a later flip may have satisfied it already.
-        bool sat = false;
-        const Lit* lits = nullptr;
-        int sz = 0;
-        if (item.ref == kRefUndef) {
-          sat = val_true(item.a) || val_true(item.b);
-        } else {
-          lits = ClauseLits(item.ref);
-          sz = ClauseSize(item.ref);
-          for (int i = 0; i < sz && !sat; ++i) sat = val_true(lits[i]);
-        }
-        if (sat) continue;
-        Var chosen = kVarUndef;
-        int min_break = INT_MAX;
-        const auto consider = [&](Lit l) {
-          const Var v = l.var();
-          if (s.fixed[v]) return;
-          const int b = breaks_of(v);
-          if (b < min_break || (b == min_break && v < chosen)) {
-            min_break = b;
-            chosen = v;
-          }
-        };
-        if (item.ref == kRefUndef) {
-          consider(item.a);
-          consider(item.b);
-        } else {
-          for (int i = 0; i < sz; ++i) consider(lits[i]);
-        }
-        if (chosen == kVarUndef) {
-          // Every literal is fixed: falsified under the fixing itself.
-          stuck = true;
-          break;
-        }
-        s.val[chosen] ^= 1;
-        s.cand.push_back(chosen);
-        ++flips;
-        chase(chosen);
-      }
-      stats_.sls_flips += flips;
-      return !stuck && head >= worklist.size();
-    };
-    // Soft-improvement pass, run only with hard feasibility in hand:
-    // try to satisfy each falsified soft by flipping its min-break free
-    // variable and repairing the fallout with a bounded drain, rolling
-    // the whole chain back whenever it fails (re-flipping the log in
-    // reverse restores the exact prior assignment). This is what makes
-    // the fast tiers genuine optimizers: a fresh MaxSAT probe's
-    // selector variables all start at their default phase with every
-    // soft open, and without this pass the probe could only report the
-    // vacuous bound u = n. Feasibility is preserved by induction — a
-    // kept chain drained every violation it caused, a rejected one is
-    // undone — with a final incremental re-verification as a backstop.
-    const auto improve_softs = [&] {
-      if (softs.empty()) return;
-      const size_t pass_mark = s.cand.size();
-      for (const std::vector<Lit>& soft : softs) {
-        bool sat = false;
-        for (Lit l : soft) sat = sat || val_true(l);
-        if (sat) continue;
-        Var chosen = kVarUndef;
-        int min_break = INT_MAX;
-        for (Lit l : soft) {
-          const Var v = l.var();
-          if (s.fixed[v]) continue;
-          const int b = breaks_of(v);
-          if (b < min_break || (b == min_break && v < chosen)) {
-            min_break = b;
-            chosen = v;
-          }
-        }
-        if (chosen == kVarUndef) continue;  // fixed false; nothing to try
-        const size_t mark = s.cand.size();
-        s.val[chosen] ^= 1;
-        s.cand.push_back(chosen);
-        ++stats_.sls_flips;
-        // Pin the seed flip for the duration of the chain — otherwise
-        // the cheapest repair is almost always to flip it right back,
-        // and the pass would never achieve anything.
-        s.fixed[chosen] = 1;
-        worklist.clear();
-        chase(chosen);
-        const bool kept = drain(kSlsSoftChainFlips);
-        s.fixed[chosen] = 0;
-        if (!kept) {
-          while (s.cand.size() > mark) {
-            s.val[s.cand.back()] ^= 1;
-            s.cand.pop_back();
-          }
-          // The softs of one call are structurally alike (a MaxSAT
-          // probe's selectors all guard the same rule shape): when a
-          // chain fails, its siblings almost always fail the same way,
-          // so stop paying for them. Successes already kept stand.
-          break;
-        }
-      }
-      if (s.cand.size() > pass_mark) {
-        // Backstop re-verification of the kept chains; on failure the
-        // pass rolls back entirely to the proven-feasible base.
-        bool verified = false;
-        if (try_incremental()) {
-          verified = worklist.empty();
-        } else {
-          scan_all(/*collect=*/false);
-          verified = !any_unsat;
-        }
-        if (!verified) {
-          while (s.cand.size() > pass_mark) {
-            s.val[s.cand.back()] ^= 1;
-            s.cand.pop_back();
-          }
-        }
-      }
-    };
-
-    // `exhaustive` means the worklist holds every falsified live item.
-    bool exhaustive = try_incremental();
-    if (!exhaustive) {
-      scan_all(/*collect=*/true);
-      exhaustive = !any_unsat;
-    }
-    if (options_.use_inprocessing) {
-      s.cand.clear();  // reused as the flipped-variable log
-      bool feasible = exhaustive && worklist.empty();
-      // Greedy repair, in rounds: drain the (possibly truncated)
-      // worklist, then re-verify from scratch — the verification, not
-      // the occurrence index (which carries stale and lazily-purged
-      // entries), is what the published model rests on. A re-scan that
-      // overflows the collection cap leaves a fresh partial worklist
-      // for the next round, so even a scan too broken to enumerate
-      // exhaustively up front can converge.
-      for (int round = 0;
-           round < kSlsRepairRounds && !feasible && !worklist.empty();
-           ++round) {
-        if (!drain(kSlsRepairMaxFlips)) break;  // stuck or out of budget
-        if (try_incremental()) {
-          feasible = worklist.empty();
-        } else {
-          scan_all(/*collect=*/true);
-          feasible = !any_unsat && worklist.empty();
-        }
-      }
-      if (feasible) {
-        improve_softs();
-        // Install the flipped phases so the next descent starts here —
-        // except for variables the softs mention: the exact search that
-        // follows a probe exists to satisfy softs, so their phases stay
-        // biased toward satisfaction rather than wherever the repair
-        // happened to leave them (flipping a selector off is the repair's
-        // cheapest move and the bound search's most expensive start).
-        const auto in_softs = [&](Var v) {
-          for (const std::vector<Lit>& soft : softs) {
-            for (Lit l : soft) {
-              if (l.var() == v) return true;
-            }
-          }
-          return false;
-        };
-        for (Var v : s.cand) {
-          if (!in_softs(v)) polarity_[v] = s.val[v] == 0;
-        }
-        publish();
-        return out;
-      }
-      // Repair ran out of budget or got stuck; the full search below
-      // starts from the mutated assignment deterministically.
-    } else if (exhaustive && worklist.empty()) {
-      // No occurrence index (so no repair or soft pass), but the saved
-      // phases already form a model; publish it as-is.
-      publish();
-      return out;
-    }
-  }
-
-  // Gather the active subformula: live problem clauses and binary
-  // implications not already satisfied by a fixed-true literal, with
-  // fixed-false literals dropped. A hard clause left empty is permanently
-  // falsified under the fixing (the CDCL solve will refute it; nothing
-  // for a flip search to do); an empty soft is a constant offset.
-  s.pool.clear();
-  s.starts.clear();
-  s.starts.push_back(0);
-  // Returns -1 when the clause is satisfied by the fixing (skipped), 1
-  // when it came up empty, 0 when it entered the pool.
-  const auto add_clause = [&](std::span<const Lit> lits) -> int {
-    const size_t start = s.pool.size();
-    for (Lit l : lits) {
-      if (s.fixed[l.var()]) {
-        if ((s.val[l.var()] != 0) != l.negated()) {
-          s.pool.resize(start);
-          return -1;
-        }
-        continue;
-      }
-      s.pool.push_back(l);
-    }
-    if (s.pool.size() == start) return 1;
-    s.starts.push_back(static_cast<int32_t>(s.pool.size()));
-    return 0;
-  };
-  int hard_count = 0;
-  for (ClauseRef c : clauses_) {
-    if (ClauseDead(c)) continue;
-    const int rc = add_clause({ClauseLits(c), ClauseLits(c) + ClauseSize(c)});
-    if (rc == 1) return out;
-    if (rc == 0) ++hard_count;
-  }
-  // Each binary clause (u ∨ q) appears mirrored in two implication
-  // lists; keep the copy where u has the smaller literal index.
-  for (int32_t i = 0; i < 2 * nv; ++i) {
-    const Lit u = ~Lit::FromIndex(i);
-    for (Lit q : bins_[i]) {
-      if (u.index() > q.index()) continue;
-      const Lit pair[2] = {u, q};
-      const int rc = add_clause({pair, 2});
-      if (rc == 1) return out;
-      if (rc == 0) ++hard_count;
-    }
-  }
-  int soft_base = 0;  // softs permanently unsatisfied under the fixing
-  for (const std::vector<Lit>& soft : softs) {
-    if (add_clause({soft.data(), soft.size()}) == 1) ++soft_base;
-  }
-  const int n_clauses = static_cast<int>(s.starts.size()) - 1;
-
-  s.free_vars.clear();
-  s.var_seen.assign(static_cast<size_t>(nv), 0);
-  for (Lit l : s.pool) {
-    if (!s.var_seen[l.var()]) {
-      s.var_seen[l.var()] = 1;
-      s.free_vars.push_back(l.var());
-    }
-  }
-
-  // Occurrence lists (lit index -> clause ids), flat CSR. Built lazily:
-  // a warm solver's saved phases are usually already a model, and the
-  // evaluate-only pass that discovers this never flips anything.
-  bool occ_built = false;
-  const auto build_occ = [&] {
-    s.occ_start.assign(static_cast<size_t>(2 * nv) + 1, 0);
-    for (Lit l : s.pool) ++s.occ_start[l.index() + 1];
-    for (size_t i = 1; i < s.occ_start.size(); ++i) {
-      s.occ_start[i] += s.occ_start[i - 1];
-    }
-    s.occ.resize(s.pool.size());
-    s.cursor.assign(s.occ_start.begin(), s.occ_start.end() - 1);
-    for (int c = 0; c < n_clauses; ++c) {
-      for (int32_t j = s.starts[c]; j < s.starts[c + 1]; ++j) {
-        s.occ[s.cursor[s.pool[j].index()]++] = c;
-      }
-    }
-    occ_built = true;
-  };
-
-  const int64_t max_flips =
-      budget.max_flips > 0
-          ? budget.max_flips
-          : std::min(kSlsFlipsCap,
-                     kSlsFlipsBase +
-                         kSlsFlipsPerVar *
-                             static_cast<int64_t>(s.free_vars.size()));
-  const int tries = budget.tries > 0 ? budget.tries : kSlsTries;
-  const double noise = budget.noise >= 0 ? budget.noise : kSlsNoise;
-  Rng rng(budget.has_seed
-              ? budget.seed
-              : kSlsSeedBase ^ (0x9e3779b97f4a7c15ULL * ++sls_salt_));
-
-  // O(1) unsatisfied-clause bookkeeping, hard and soft stacks apart so
-  // clause picking can insist on hard feasibility first.
-  const auto mark_unsat = [&](int c) {
-    std::vector<int32_t>& stack = c < hard_count ? s.unsat_hard : s.unsat_soft;
-    s.unsat_pos[c] = static_cast<int32_t>(stack.size());
-    stack.push_back(c);
-  };
-  const auto mark_sat = [&](int c) {
-    std::vector<int32_t>& stack = c < hard_count ? s.unsat_hard : s.unsat_soft;
-    const int32_t pos = s.unsat_pos[c];
-    stack[pos] = stack.back();
-    s.unsat_pos[stack.back()] = pos;
-    stack.pop_back();
-    s.unsat_pos[c] = -1;
-  };
-  // True literal of v under the current assignment.
-  const auto true_lit = [&](Var v) { return Lit(v, s.val[v] == 0); };
-  const auto break_count = [&](Var v) {
-    const int32_t idx = true_lit(v).index();
-    int breaks = 0;
-    for (int32_t j = s.occ_start[idx]; j < s.occ_start[idx + 1]; ++j) {
-      if (s.true_count[s.occ[j]] == 1) ++breaks;
-    }
-    return breaks;
-  };
-  const auto flip = [&](Var v) {
-    s.val[v] = s.val[v] ^ 1;
-    const Lit now_true = true_lit(v);
-    const Lit now_false = ~now_true;
-    for (int32_t j = s.occ_start[now_true.index()];
-         j < s.occ_start[now_true.index() + 1]; ++j) {
-      if (++s.true_count[s.occ[j]] == 1) mark_sat(s.occ[j]);
-    }
-    for (int32_t j = s.occ_start[now_false.index()];
-         j < s.occ_start[now_false.index() + 1]; ++j) {
-      if (--s.true_count[s.occ[j]] == 0) mark_unsat(s.occ[j]);
-    }
-  };
-
-  int best_hard = INT_MAX;
-  int best_soft = INT_MAX;
-  s.best.assign(s.val.begin(), s.val.end());
-  // Records the current assignment if it improves (hard count first,
-  // softs tie-break); returns true when nothing can improve further.
-  const auto consider_best = [&] {
-    const int h = static_cast<int>(s.unsat_hard.size());
-    const int sf = static_cast<int>(s.unsat_soft.size()) + soft_base;
-    if (h < best_hard || (h == best_hard && sf < best_soft)) {
-      best_hard = h;
-      best_soft = sf;
-      s.best.assign(s.val.begin(), s.val.end());
-    }
-    return s.unsat_hard.empty() && s.unsat_soft.empty();
-  };
-
-  int64_t flips_done = 0;
-  bool perfect = false;
-  for (int attempt = 0; attempt < tries && !perfect; ++attempt) {
-    if (attempt > 0) {
-      // Restart from a random assignment (try 0 searched the phases).
-      for (Var v : s.free_vars) s.val[v] = rng.Chance(0.5) ? 1 : 0;
-    }
-    s.true_count.assign(static_cast<size_t>(n_clauses), 0);
-    s.unsat_hard.clear();
-    s.unsat_soft.clear();
-    s.unsat_pos.assign(static_cast<size_t>(n_clauses), -1);
-    for (int c = 0; c < n_clauses; ++c) {
-      for (int32_t j = s.starts[c]; j < s.starts[c + 1]; ++j) {
-        const Lit l = s.pool[j];
-        if ((s.val[l.var()] != 0) != l.negated()) ++s.true_count[c];
-      }
-      if (s.true_count[c] == 0) mark_unsat(c);
-    }
-    perfect = consider_best();
-    if (!perfect && !occ_built) build_occ();
-
-    for (int64_t f = 0; f < max_flips && !perfect; ++f) {
-      if (s.unsat_hard.empty() && s.unsat_soft.empty()) break;
-      const int c =
-          !s.unsat_hard.empty()
-              ? s.unsat_hard[rng.Below(s.unsat_hard.size())]
-              : s.unsat_soft[rng.Below(s.unsat_soft.size())];
-      // Freebie move: a variable with break count 0, else noise/greedy.
-      s.cand.clear();
-      Var chosen = kVarUndef;
-      int min_break = INT_MAX;
-      for (int32_t j = s.starts[c]; j < s.starts[c + 1]; ++j) {
-        const Var v = s.pool[j].var();
-        const int b = break_count(v);
-        if (b == 0) s.cand.push_back(v);
-        if (b < min_break) {
-          min_break = b;
-          chosen = v;
-        }
-      }
-      if (!s.cand.empty()) {
-        chosen = s.cand[rng.Below(s.cand.size())];
-      } else if (rng.Chance(noise)) {
-        const int32_t len = s.starts[c + 1] - s.starts[c];
-        chosen = s.pool[s.starts[c] + rng.Below(len)].var();
-      }
-      flip(chosen);
-      ++flips_done;
-      perfect = consider_best();
-    }
-  }
-  stats_.sls_flips += flips_done;
-
-  out.ran = true;
-  out.feasible = best_hard == 0;
-  out.hard_unsat = best_hard;
-  out.soft_unsat = best_soft;
-  out.model.assign(s.best.begin(), s.best.end());
-
-  if (out.feasible) {
-    // Install the model as saved phases: the next CDCL descent starts
-    // at it. Only the searched variables move — fixed variables' phases
-    // are irrelevant (assigned or assumed). A failed
-    // search installs nothing: overwriting saved phases with a
-    // best-effort non-model measurably slows the solves that follow.
-    for (Var v : s.free_vars) polarity_[v] = s.best[v] == 0;
-    // Every live problem clause is satisfied; together with the level-0
-    // trail (dead clauses are subsumed or swept-satisfied) this is a
-    // genuine model, so it may enter the witness ring the same way a
-    // search model does.
-    std::vector<Lbool> m(static_cast<size_t>(nv));
-    for (Var v = 0; v < nv; ++v) {
-      m[v] = s.best[v] ? Lbool::kTrue : Lbool::kFalse;
-    }
-    CCR_DCHECK(DebugModelSatisfiesLive(m));
-    if (options_.use_model_cache) {
-      if (model_pool_.size() < kModelPoolSize) {
-        model_pool_.push_back(std::move(m));
-      } else {
-        model_pool_[model_pool_next_] = std::move(m);
-        model_pool_next_ = (model_pool_next_ + 1) % kModelPoolSize;
-      }
-      ++stats_.sls_seeded_models;
-    }
-    sls_verified_val_.assign(s.best.begin(), s.best.end());
-    sls_verified_clauses_ = clauses_.size();
-    sls_verified_epoch_ = sls_epoch_;
-    sls_new_bins_.clear();
-    sls_bin_log_overflow_ = false;
-  }
-  return out;
+  return true;
 }
 
-bool Solver::DebugModelSatisfiesLive(const std::vector<Lbool>& m) const {
-  if (m.size() < static_cast<size_t>(num_vars())) return false;
-  for (Var v = 0; v < num_vars(); ++v) {
-    if (assigns_[v] != Lbool::kUndef && level_[v] == 0 &&
-        m[v] != assigns_[v]) {
-      return false;
-    }
-  }
+bool Solver::SatisfiesLive(const std::vector<Lbool>& m) const {
   for (ClauseRef c : clauses_) {
     if (ClauseDead(c)) continue;
     bool sat = false;
@@ -1710,6 +900,7 @@ bool Solver::DebugModelSatisfiesLive(const std::vector<Lbool>& m) const {
     }
     if (!sat) return false;
   }
+  // Each binary (u ∨ q) sits in two implication lists; check it once.
   for (int32_t i = 0; i < 2 * num_vars(); ++i) {
     const Lit u = ~Lit::FromIndex(i);
     for (Lit q : bins_[i]) {
@@ -1787,9 +978,6 @@ SolveResult Solver::SolveLoop(std::span<const Lit> assumptions) {
 // --- inprocessing --------------------------------------------------------
 
 void Solver::ShrinkClause(ClauseRef c, std::span<const Lit> lits) {
-  // In-place content change: the SLS verification cache's "unchanged
-  // clauses still hold" induction no longer applies.
-  ++sls_epoch_;
   // `c` is detached. Re-home the shortened clause by its new size.
   if (lits.empty()) {
     MarkClauseDead(c);
@@ -1819,141 +1007,7 @@ void Solver::ShrinkClause(ClauseRef c, std::span<const Lit> lits) {
     AttachBinary(lits[0], lits[1]);
     return;
   }
-  StoreClauseSig(c);
   AttachClause(c);
-}
-
-void Solver::StrengthenClause(ClauseRef c, Lit l) {
-  DetachClause(c);
-  std::vector<Lit> out;
-  const Lit* lits = ClauseLits(c);
-  const int size = ClauseSize(c);
-  out.reserve(static_cast<size_t>(size) - 1);
-  bool satisfied = false;
-  for (int k = 0; k < size && !satisfied; ++k) {
-    const Lit x = lits[k];
-    if (x == l) continue;
-    const Lbool v = ValueOf(x);
-    if (v == Lbool::kTrue) satisfied = true;
-    if (v == Lbool::kUndef) out.push_back(x);
-    // Level-0 false literals are dropped along the way.
-  }
-  if (satisfied) {
-    MarkClauseDead(c);
-    return;
-  }
-  ShrinkClause(c, out);
-}
-
-void Solver::SubsumptionPass() {
-  CCR_DCHECK(DecisionLevel() == 0);
-  CCR_DCHECK(inproc_watermark_ <= clauses_.size());
-  // Backward subsumption / self-subsuming resolution: the clauses the
-  // encode layer appended since the last pass — everything at or beyond
-  // the watermark — act as subsumers against the whole problem DB. A
-  // subsumer C removes any D ⊇ C outright; if C matches D except for
-  // exactly one flipped literal l, resolving on l strengthens D by
-  // dropping ~l (equivalence-preserving both ways). Candidates come from
-  // the persistent occurrence index; dead or stale entries are purged in
-  // place as the scan walks a list.
-  const size_t fresh_begin = inproc_watermark_;
-  if (fresh_begin == clauses_.size() && pending_bins_.empty()) return;
-
-  int64_t steps = 0;
-  // Does the clause `sub` subsume `d` outright (return 1), subsume it
-  // after flipping exactly one literal (return 2, *flip = the literal of
-  // `sub` whose negation must leave `d`), or neither (return 0)?
-  auto subsume_check = [this, &steps](std::span<const Lit> sub, ClauseRef d,
-                                      Lit* flip) -> int {
-    const Lit* dl = ClauseLits(d);
-    const int ds = ClauseSize(d);
-    Lit flipped = kLitUndef;
-    for (Lit a : sub) {
-      steps += ds;
-      bool found = false;
-      bool neg = false;
-      for (int b = 0; b < ds; ++b) {
-        if (dl[b] == a) {
-          found = true;
-          break;
-        }
-        if (dl[b] == ~a) {
-          neg = true;
-          break;
-        }
-      }
-      if (found) continue;
-      if (neg && flipped == kLitUndef) {
-        flipped = a;
-        continue;
-      }
-      return 0;
-    }
-    if (flipped == kLitUndef) return 1;
-    *flip = flipped;
-    return 2;
-  };
-
-  auto run_subsumer = [&](std::span<const Lit> sub, ClauseRef self) {
-    // Candidates must contain every var of `sub`; scan the shortest
-    // occurrence list.
-    int best_var = -1;
-    size_t best_len = SIZE_MAX;
-    for (Lit a : sub) {
-      const size_t len = occur_[a.var()].size();
-      if (len < best_len) {
-        best_len = len;
-        best_var = a.var();
-      }
-    }
-    if (best_var < 0) return;
-    uint64_t sub_sig = 0;
-    for (Lit a : sub) sub_sig |= 1ull << (a.var() & 63);
-    std::vector<ClauseRef>& list = occur_[best_var];
-    size_t j = 0;
-    for (size_t i = 0; i < list.size(); ++i) {
-      const ClauseRef d = list[i];
-      if (ClauseDead(d)) continue;  // lazy purge
-      list[j++] = d;
-      if (d == self || !ok_) continue;
-      if (ClauseSize(d) < static_cast<int>(sub.size())) continue;
-      if ((sub_sig & ~ClauseSig(d)) != 0) continue;
-      Lit flip = kLitUndef;
-      const int verdict = subsume_check(sub, d, &flip);
-      if (verdict == 1) {
-        DetachClause(d);
-        MarkClauseDead(d);
-        ++stats_.subsumed;
-        --j;  // died just now: purge it from this list too
-      } else if (verdict == 2) {
-        StrengthenClause(d, ~flip);
-        ++stats_.subsumed;
-        if (ClauseDead(d)) --j;  // shrank to unit/binary or was satisfied
-      }
-    }
-    list.resize(j);
-  };
-
-  // New binary clauses first (the currency-order encodings are dominated
-  // by them), then the appended long clauses.
-  for (const auto& [a, b] : pending_bins_) {
-    if (steps > kSubsumptionStepBudget || !ok_) break;
-    const Lit sub[2] = {a, b};
-    run_subsumer(std::span<const Lit>(sub, 2), kRefUndef);
-  }
-  pending_bins_.clear();
-  for (size_t i = fresh_begin; i < clauses_.size(); ++i) {
-    if (steps > kSubsumptionStepBudget || !ok_) break;
-    const ClauseRef c = clauses_[i];
-    if (ClauseDead(c)) continue;
-    run_subsumer(
-        std::span<const Lit>(ClauseLits(c), ClauseSize(c)), c);
-  }
-
-  // Strengthening may have queued units; fold them in.
-  if (ok_ && Propagate() != kRefUndef) ok_ = false;
-  CompactProblemClauses();
-  inproc_watermark_ = clauses_.size();
 }
 
 void Solver::VivificationPass() {
@@ -1968,8 +1022,8 @@ void Solver::VivificationPass() {
   // encoding as vivified WITHOUT distilling it (wholesale distillation of
   // a generator-canonical encoding costs far more propagation than every
   // solve of the session combined); later passes distill exactly the
-  // clauses appended — or strengthened by subsumption — since, under a
-  // propagation budget as a backstop.
+  // clauses appended or shortened since, under a propagation budget as a
+  // backstop.
   if (!vivify_primed_) {
     vivify_primed_ = true;
     for (ClauseRef c : clauses_) SetClauseVivified(c, true);
@@ -2030,7 +1084,7 @@ Solver::ClauseRef Solver::RelocateClause(ClauseRef c) {
   if (arena_[c] == kMovedHeader) return arena_[c + 1];
   const ClauseRef nc = static_cast<ClauseRef>(arena_tmp_.size());
   CCR_CHECK(nc < kRefBinaryFlag);
-  const size_t words = 3 + static_cast<size_t>(ClauseSize(c));
+  const size_t words = kHeaderWords + static_cast<size_t>(ClauseSize(c));
   arena_tmp_.insert(arena_tmp_.end(), arena_.begin() + c,
                     arena_.begin() + c + words);
   arena_[c] = kMovedHeader;
@@ -2040,26 +1094,17 @@ Solver::ClauseRef Solver::RelocateClause(ClauseRef c) {
 
 void Solver::GarbageCollect() {
   if (arena_.empty()) return;
-  ++sls_epoch_;  // refs relocate and clauses_ compacts
   const size_t old_words = arena_.size();
   arena_tmp_.clear();
   arena_tmp_.reserve(old_words - std::min(arena_dead_words_, old_words));
-  // Relocate in list order: clause order — and with it watcher and
-  // occurrence order — is identical before and after, which keeps the
-  // collection search-neutral.
-  size_t wm = inproc_watermark_;
+  // Relocate in list order: clause order — and with it watcher order —
+  // is identical before and after, which keeps the collection
+  // search-neutral.
   size_t j = 0;
-  for (size_t i = 0; i < clauses_.size(); ++i) {
-    const ClauseRef c = clauses_[i];
-    if (ClauseDead(c)) {
-      if (i < inproc_watermark_) --wm;
-      continue;
-    }
-    clauses_[j++] = RelocateClause(c);
+  for (ClauseRef c : clauses_) {
+    if (!ClauseDead(c)) clauses_[j++] = RelocateClause(c);
   }
   clauses_.resize(j);
-  inproc_watermark_ = wm;
-  CCR_DCHECK(inproc_watermark_ <= clauses_.size());
   size_t k = 0;
   for (ClauseRef c : learnts_) {
     if (ClauseDead(c)) continue;
@@ -2091,8 +1136,6 @@ void Solver::GarbageCollect() {
   arena_.swap(arena_tmp_);
   arena_tmp_.clear();
   arena_tmp_.shrink_to_fit();
-  // ClauseLits reads arena_, so the rebuild has to follow the swap.
-  if (options_.use_inprocessing) RebuildOccurrenceIndex();
   stats_.gc_reclaimed_words += static_cast<int64_t>(old_words - arena_.size());
   ++stats_.gc_runs;
   arena_dead_words_ = 0;
@@ -2105,18 +1148,6 @@ void Solver::MaybeGarbageCollect() {
     return;
   }
   GarbageCollect();
-}
-
-void Solver::RebuildOccurrenceIndex() {
-  for (std::vector<ClauseRef>& o : occur_) o.clear();
-  // Iterating clauses_ reproduces clause-addition order, the same order
-  // the incremental appends in AddClause produce.
-  for (ClauseRef c : clauses_) {
-    const Lit* lits = ClauseLits(c);
-    for (int k = 0; k < ClauseSize(c); ++k) {
-      occur_[lits[k].var()].push_back(c);
-    }
-  }
 }
 
 }  // namespace ccr::sat

@@ -12,10 +12,9 @@
 // assumptions (used by NaiveDeduce and the MaxSAT layer). Around that
 // core sit the optional engines SolverOptions can switch off: a
 // cached-model witness pool that answers assumption solves without
-// search, an inprocessing pass (clause vivification plus backward
-// subsumption / self-subsuming resolution) run from Simplify() between
-// session rounds, compacting arena garbage collection, and local-search
-// warm starts.
+// search, clause vivification run from Simplify() between session rounds,
+// compacting arena garbage collection, and a saved-phase check that
+// publishes the phases as a witness when they already form a model.
 // The pipeline above consumes only SAT/UNSAT verdicts, so every option
 // combination resolves every entity identically.
 
@@ -39,10 +38,10 @@ namespace ccr::sat {
 /// The optional engines around the one CDCL search policy. The defaults
 /// turn every engine on; LegacyHeuristics() turns every one off.
 struct SolverOptions {
-  /// Inprocessing in Simplify(): clause vivification and backward
-  /// subsumption / self-subsuming resolution over the problem clauses.
-  /// Intended between session rounds, after the encode layer appended the
-  /// round's delta. Off = Simplify only sweeps satisfied clauses.
+  /// Inprocessing in Simplify(): clause vivification of the problem
+  /// clauses appended since the last pass. Intended between session
+  /// rounds, after the encode layer appended the round's delta. Off =
+  /// Simplify only sweeps satisfied clauses.
   bool use_inprocessing = true;
   /// Cached-model witness reuse (the backbone-extraction trick): an
   /// assumption solve first probes the models of recent kSat calls — a
@@ -54,22 +53,20 @@ struct SolverOptions {
   /// The verdict is exact either way, so results cannot change.
   bool use_model_cache = true;
   /// Compacting arena garbage collection: once the words owned by dead
-  /// clauses (removed, subsumed, shrunk) exceed gc_frac of
+  /// clauses (removed, swept, shrunk) exceed gc_frac of
   /// the arena, live clauses relocate into a fresh arena and every
-  /// ClauseRef holder — watch lists, reason slots, the learnt DB, the
-  /// occurrence index — is rewritten. Triggered from Simplify() and after
+  /// ClauseRef holder — watch lists, reason slots, the learnt DB — is
+  /// rewritten. Triggered from Simplify() and after
   /// learnt-DB reductions; list and watcher order is preserved, so GC
   /// changes memory and time only, never a verdict or a model.
   bool use_arena_gc = true;
   double gc_frac = 0.25;
-  /// Stochastic local search (WalkSAT) in the hot path. Both flags may
-  /// only change time-to-verdict, never a verdict: every answer is still
-  /// produced by the exact CDCL search / MaxSAT bound solves.
-  ///
-  /// use_sls_seeding: before CDCL search, a budgeted local-search pass
-  /// (Solver::SeedFromLocalSearch) installs its best assignment into the
-  /// saved-phase array, and — when the assignment satisfies every problem
-  /// clause — pushes it into the cached-model ring as a genuine witness.
+  /// Saved-phase seeding: after each encode step the session calls
+  /// Solver::SeedFromLocalSearch, which checks whether the saved phases
+  /// (with the level-0 trail and the guard assumptions fixed) already
+  /// satisfy every clause and, when they do, pushes that model into the
+  /// cached-model ring as a genuine witness. It reads phases and never
+  /// writes them, so it can only change time-to-verdict, never a verdict.
   bool use_sls_seeding = true;
   /// Backbone-style Deduce (src/core/deduce.cc): the per-pair Lemma-6
   /// loop of NaiveDeduceShared is replaced by a three-tier backbone
@@ -82,12 +79,6 @@ struct SolverOptions {
   /// downstream bytes are identical by construction; only the number of
   /// solver calls changes. Off = one SolveWithAssumptions per pair.
   bool use_backbone_deduce = true;
-  /// use_sls_probing: IncrementalMaxSat runs the same local search over
-  /// hard+soft clauses first and uses the number of unsatisfied softs as
-  /// an upper bound u, verifying downward from u instead of climbing the
-  /// cardinality bound up from 0. When the probe hits the true optimum
-  /// the exact search collapses to two solves (SAT at u, UNSAT at u-1).
-  bool use_sls_probing = true;
 
   /// Every optional engine above off: the bare CDCL search. The single
   /// definition the ablation bench, `ccr_experiment --solver legacy` and
@@ -99,7 +90,6 @@ struct SolverOptions {
     o.use_model_cache = false;
     o.use_arena_gc = false;
     o.use_sls_seeding = false;
-    o.use_sls_probing = false;
     o.use_backbone_deduce = false;
     return o;
   }
@@ -109,10 +99,10 @@ struct SolverOptions {
 /// `ccr_experiment --solver`, the service wire's `solver_preset` and
 /// snapshot validation:
 ///   modern      the defaults
-///   sls         alias of modern (the local-search warm starts are on)
+///   sls         alias of modern (saved-phase seeding is on)
 ///   legacy      LegacyHeuristics(): every optional engine off
 ///   nogc        modern with arena GC off
-///   nosls       modern with SLS seeding and MaxSAT probing off
+///   nosls       modern with saved-phase seeding off
 ///   nobackbone  modern with the per-pair Lemma-6 Deduce loop
 /// Every preset resolves every entity identically; the presets exist so
 /// byte-identity lanes and A/B benches can prove exactly that.
@@ -147,9 +137,6 @@ struct SolverStats {
   /// the implications behind `propagations`, which counts trail literals
   /// processed).
   int64_t binary_propagations = 0;
-  /// Inprocessing: problem clauses removed by backward subsumption plus
-  /// literals removed by self-subsuming resolution.
-  int64_t subsumed = 0;
   /// Inprocessing: literals removed from problem clauses by vivification.
   int64_t vivified = 0;
   /// Assumption solves answered from the cached-model pool without any
@@ -159,15 +146,12 @@ struct SolverStats {
   /// (use_arena_gc).
   int64_t gc_runs = 0;
   int64_t gc_reclaimed_words = 0;
-  /// Stochastic local search: flips performed across all
-  /// SeedFromLocalSearch calls, fully satisfying assignments pushed into
-  /// the cached-model ring (use_sls_seeding / use_sls_probing), and
-  /// MaxSAT upper-bound probes run / probes whose bound was the exact
-  /// optimum (reported back by IncrementalMaxSat via RecordSlsProbe).
+  /// Always 0: SeedFromLocalSearch checks the saved phases and never
+  /// flips a variable. Kept because the benchmark harness reports it.
   int64_t sls_flips = 0;
+  /// Saved-phase models SeedFromLocalSearch pushed into the cached-model
+  /// ring (use_sls_seeding with use_model_cache).
   int64_t sls_seeded_models = 0;
-  int64_t sls_probes = 0;
-  int64_t sls_probe_wins = 0;
   /// Backbone-style Deduce (reported by src/core/deduce.cc via
   /// RecordDeduce): solver calls issued by the Deduce phase (the initial
   /// validity solve plus, per-pair under the naive loop or per-chunk
@@ -190,15 +174,12 @@ struct SolverStats {
             learnt_literals - o.learnt_literals,
             assumption_solves - o.assumption_solves,
             binary_propagations - o.binary_propagations,
-            subsumed - o.subsumed,
             vivified - o.vivified,
             model_cache_hits - o.model_cache_hits,
             gc_runs - o.gc_runs,
             gc_reclaimed_words - o.gc_reclaimed_words,
             sls_flips - o.sls_flips,
             sls_seeded_models - o.sls_seeded_models,
-            sls_probes - o.sls_probes,
-            sls_probe_wins - o.sls_probe_wins,
             deduce_queries - o.deduce_queries,
             deduce_model_prunes - o.deduce_model_prunes,
             deduce_propagation_proofs - o.deduce_propagation_proofs,
@@ -215,51 +196,18 @@ struct SolverStats {
     learnt_literals += o.learnt_literals;
     assumption_solves += o.assumption_solves;
     binary_propagations += o.binary_propagations;
-    subsumed += o.subsumed;
     vivified += o.vivified;
     model_cache_hits += o.model_cache_hits;
     gc_runs += o.gc_runs;
     gc_reclaimed_words += o.gc_reclaimed_words;
     sls_flips += o.sls_flips;
     sls_seeded_models += o.sls_seeded_models;
-    sls_probes += o.sls_probes;
-    sls_probe_wins += o.sls_probe_wins;
     deduce_queries += o.deduce_queries;
     deduce_model_prunes += o.deduce_model_prunes;
     deduce_propagation_proofs += o.deduce_propagation_proofs;
     deduce_chunk_solves += o.deduce_chunk_solves;
     return *this;
   }
-};
-
-/// Explicit budget for one local-search pass. Zero / negative fields fall
-/// back to the solver's built-in budget: flips per try scaled to the
-/// free-variable count, 2 tries, noise 0.5.
-struct LocalSearchBudget {
-  int64_t max_flips = 0;  // per try; 0 = auto
-  int tries = 0;          // 0 = built-in
-  double noise = -1.0;    // < 0 = built-in
-  /// When set, seeds the RNG from `seed` instead of the solver's per-call
-  /// salt — RunWalkSat's same-seed determinism contract rides on this.
-  bool has_seed = false;
-  uint64_t seed = 0;
-};
-
-/// Outcome of Solver::SeedFromLocalSearch.
-struct LocalSearchResult {
-  /// False when the search could not run at all: the solver is already
-  /// UNSAT, or the assumptions contradict each other / the level-0 trail.
-  bool ran = false;
-  /// The best assignment satisfies every live problem clause (together
-  /// with the level-0 trail it is then a genuine model).
-  bool feasible = false;
-  /// Problem clauses left unsatisfied by the best assignment.
-  int hard_unsat = 0;
-  /// Soft clauses left unsatisfied by the best assignment (the MaxSAT
-  /// upper bound u when `feasible`, and then the exact score of `model`).
-  int soft_unsat = 0;
-  /// Best assignment per variable; a genuine model when `feasible`.
-  std::vector<uint8_t> model;
 };
 
 /// \brief Incremental CDCL solver.
@@ -328,56 +276,35 @@ class Solver {
 
   /// Top-level simplification hook: propagates any pending level-0 facts,
   /// detaches problem and learnt clauses already satisfied at level 0,
-  /// and — when options.use_inprocessing is set — runs the inprocessing
-  /// passes (backward subsumption / self-subsuming resolution, then
-  /// clause vivification) over the problem clauses. Intended between
-  /// rounds of an incremental session, after new clauses were appended.
-  /// Both passes are equivalence-preserving, so every verdict the solver
-  /// produces afterwards is unchanged. Returns false if the solver is
-  /// (now) unsatisfiable.
+  /// and — when options.use_inprocessing is set — vivifies the problem
+  /// clauses appended since the last pass. Intended between rounds of an
+  /// incremental session, after new clauses were appended. Vivification
+  /// is equivalence-preserving, so every verdict the solver produces
+  /// afterwards is unchanged. Returns false if the solver is (now)
+  /// unsatisfiable.
   bool Simplify();
 
-  /// Declares the problem clauses loaded so far the inprocessing
-  /// baseline: they will not be re-distilled or self-subsumed; future
-  /// Simplify() calls inprocess only the clauses appended afterwards (the
-  /// session rounds' deltas) against the whole DB. ResolutionSession
-  /// calls this once after loading Φ(Se) — distilling a freshly
-  /// generated, canonical encoding wholesale costs more propagation than
-  /// every solve of the session combined. Without priming, the first
-  /// Simplify() primes implicitly (vivification) and the whole formula
-  /// acts as its own subsumer set under the step budget.
+  /// Declares the problem clauses loaded so far already vivified: future
+  /// Simplify() calls distill only the clauses appended afterwards (the
+  /// session rounds' deltas). ResolutionSession calls this once after
+  /// loading Φ(Se) — distilling a freshly generated, canonical encoding
+  /// wholesale costs more propagation than every solve of the session
+  /// combined. Without priming, the first Simplify() primes implicitly.
   void PrimeInprocessing();
 
   /// True if unsatisfiability was established independent of assumptions.
   bool IsUnsatForever() const { return !ok_; }
 
-  /// \brief WalkSAT-style local search run directly on the solver's own
-  /// clause arena and binary watch lists (no CNF copy; scratch buffers
-  /// are pooled on the solver and reused across calls).
-  ///
-  /// Variables fixed on the level-0 trail or named by `assumptions` never
-  /// flip; the search covers exactly the live problem clauses not already
-  /// satisfied by those fixings. The best assignment found is installed
-  /// into the saved-phase array (biasing the next CDCL descent toward
-  /// it), and when it satisfies every problem clause it is pushed into
-  /// the cached-model ring as a genuine witness. `softs` (clauses over
-  /// existing variables) are scored but never required: the returned
-  /// soft_unsat of a feasible pass is the MaxSAT upper-bound probe.
-  /// Deterministic: the RNG is seeded from a per-call salt (reset by
-  /// Reset()) or budget.seed — never wall-clock or global state. Must be
-  /// called at decision level 0. Verdict-neutral by construction: phases
-  /// and cached models only steer search time.
-  LocalSearchResult SeedFromLocalSearch(
-      std::span<const Lit> assumptions = {},
-      std::span<const std::vector<Lit>> softs = {},
-      const LocalSearchBudget& budget = {});
-
-  /// MaxSAT layer reporting: an upper-bound probe ran; `win` when the
-  /// probed bound turned out to be the exact optimum.
-  void RecordSlsProbe(bool win) {
-    ++stats_.sls_probes;
-    if (win) ++stats_.sls_probe_wins;
-  }
+  /// Saved-phase check. Takes the level-0 trail, `assumptions`, and the
+  /// saved phase of every other variable, and evaluates that assignment
+  /// against every live problem clause and binary. If it is a model, it
+  /// is pushed into the cached-model ring (when use_model_cache is on)
+  /// and counted in sls_seeded_models. Returns whether it was a model.
+  /// Never flips a variable and never writes a saved phase, so it cannot
+  /// change a later search — only let a later solve hit the ring. Must be
+  /// called at decision level 0. (The name predates the check: it once
+  /// ran a local search.)
+  bool SeedFromLocalSearch(std::span<const Lit> assumptions = {});
 
   /// Deduce-phase reporting (src/core/deduce.cc): entailment solver
   /// calls issued, pairs refuted by model sweeping, pairs certified by
@@ -446,15 +373,14 @@ class Solver {
   void Reset(SolverOptions options = {});
 
   /// Compacts the clause arena: live clauses move into a fresh arena and
-  /// every ClauseRef holder — watch lists, reason slots, the learnt DB,
-  /// the occurrence index — is rewritten to the relocated
-  /// references. (The cached-model pool holds no references, only
-  /// per-variable values, so it survives untouched.) Runs automatically
-  /// under SolverOptions::use_arena_gc / gc_frac; public so tests and
-  /// benches can force a relocation. Order inside every clause list and
-  /// watch list is preserved, which makes the collection search-neutral:
-  /// every later decision, propagation and verdict is identical to a run
-  /// that never collected.
+  /// every ClauseRef holder — watch lists, reason slots, the learnt DB —
+  /// is rewritten to the relocated references. (The cached-model pool
+  /// holds no references, only per-variable values, so it survives
+  /// untouched.) Runs automatically under SolverOptions::use_arena_gc /
+  /// gc_frac; public so tests and benches can force a relocation. Order
+  /// inside every clause list and watch list is preserved, which makes
+  /// the collection search-neutral: every later decision, propagation and
+  /// verdict is identical to a run that never collected.
   void GarbageCollect();
 
   /// Arena occupancy in 32-bit words: current size, size minus the dead
@@ -469,15 +395,14 @@ class Solver {
   // --- clause arena ----------------------------------------------------
   //
   // Arena layout per clause: [size<<3 | vivified<<2 | dead<<1 |
-  // learnt][activity bits / sig lo][sig hi][lits...]. `dead` marks
-  // clauses removed by deletion or inprocessing (already detached; their
-  // words are accounted in arena_dead_words_ and reclaimed by
-  // GarbageCollect); `vivified` marks clauses the vivification pass has
-  // already distilled, so later passes skip them until a strengthening
-  // changes them again. Learnt clauses use word 1 for their activity;
-  // problem clauses never do, so the subsumption pass stores their
-  // 64-bit variable signature in words 1–2 instead. Every arena clause
-  // has at least three literals: binaries live in the implicit lists.
+  // learnt][activity bits][lits...] — kHeaderWords words, then one word
+  // per literal. `dead` marks clauses removed by deletion or inprocessing
+  // (already detached; their words are accounted in arena_dead_words_
+  // and reclaimed by GarbageCollect); `vivified` marks clauses the
+  // vivification pass has already distilled, so later passes skip them
+  // until vivification shortens them again. Only learnt clauses use
+  // the activity word. Every arena clause has at least three literals:
+  // binaries live in the implicit lists.
   //
   // Reason encoding: a reason is either an arena reference (< 2^31 —
   // checked at allocation), the literal-encoded reason of a binary
@@ -499,13 +424,14 @@ class Solver {
     return Lit::FromIndex(static_cast<int32_t>(r & ~kRefBinaryFlag));
   }
 
+  static constexpr size_t kHeaderWords = 2;
   ClauseRef AllocClause(const std::vector<Lit>& lits, bool learnt);
   int ClauseSize(ClauseRef c) const { return arena_[c] >> 3; }
   bool ClauseLearnt(ClauseRef c) const { return arena_[c] & 1; }
   bool ClauseDead(ClauseRef c) const { return arena_[c] & 2; }
   void MarkClauseDead(ClauseRef c) {
     if (!(arena_[c] & 2)) {
-      arena_dead_words_ += 3 + static_cast<size_t>(ClauseSize(c));
+      arena_dead_words_ += kHeaderWords + static_cast<size_t>(ClauseSize(c));
       arena_[c] |= 2;
     }
   }
@@ -521,10 +447,10 @@ class Solver {
     arena_[c] = (static_cast<uint32_t>(size) << 3) | (arena_[c] & 7);
   }
   Lit* ClauseLits(ClauseRef c) {
-    return reinterpret_cast<Lit*>(&arena_[c + 3]);
+    return reinterpret_cast<Lit*>(&arena_[c + kHeaderWords]);
   }
   const Lit* ClauseLits(ClauseRef c) const {
-    return reinterpret_cast<const Lit*>(&arena_[c + 3]);
+    return reinterpret_cast<const Lit*>(&arena_[c + kHeaderWords]);
   }
   // Activity is a float stored in a uint32_t arena word; std::bit_cast is
   // the strict-aliasing-clean way to view it (a reinterpret_cast through
@@ -535,13 +461,6 @@ class Solver {
   void SetClauseActivity(ClauseRef c, float a) {
     arena_[c + 1] = std::bit_cast<uint32_t>(a);
   }
-  // Problem-clause variable signature (Bloom filter over var % 64),
-  // cached in words 1–2 at AddClause and kept fresh on every
-  // strengthening, so the subsumption pass never rebuilds it.
-  uint64_t ClauseSig(ClauseRef c) const {
-    return arena_[c + 1] | (static_cast<uint64_t>(arena_[c + 2]) << 32);
-  }
-  void StoreClauseSig(ClauseRef c);
 
   struct Watcher {
     ClauseRef cref;
@@ -572,11 +491,8 @@ class Solver {
   // --- arena lifecycle --------------------------------------------------
   void MaybeGarbageCollect();
   ClauseRef RelocateClause(ClauseRef c);
-  // Drops dead entries from clauses_, shifting inproc_watermark_ by the
-  // number removed below it — the exact accounting that replaces the old
-  // drifting fresh-clause counter.
+  // Drops dead entries from clauses_.
   void CompactProblemClauses();
-  void RebuildOccurrenceIndex();
 
   // --- model cache ------------------------------------------------------
   bool ModelWitnesses(const std::vector<Lbool>& m,
@@ -600,16 +516,13 @@ class Solver {
   // Rotates the previous newest model into the ring before model_ is
   // overwritten by a fresh solve.
   void CacheCurrentModel();
-  // Debug aid: does `m` satisfy every live problem clause, every binary,
-  // and agree with the level-0 trail?
-  bool DebugModelSatisfiesLive(const std::vector<Lbool>& m) const;
+  // Stores `m` in the ring, overwriting the oldest entry once it is full.
+  void PushWitness(std::vector<Lbool> m);
+  // Does `m` satisfy every live problem clause and every binary?
+  bool SatisfiesLive(const std::vector<Lbool>& m) const;
 
   // --- inprocessing ----------------------------------------------------
-  void SubsumptionPass();
   void VivificationPass();
-  // Removes `l` from the (attached, size>=3) problem clause `c`,
-  // re-attaching / migrating / enqueueing as the new size demands.
-  void StrengthenClause(ClauseRef c, Lit l);
   // Rewrites clause `c` to `lits` after vivification shortened it.
   void ShrinkClause(ClauseRef c, std::span<const Lit> lits);
 
@@ -684,14 +597,6 @@ class Solver {
   // Learnt-DB budget: ReduceDb runs once learnts_ reaches it.
   double max_learnts_ = 0;
 
-  // Inprocessing bookkeeping: clauses_[inproc_watermark_..] are the
-  // entries appended since the last subsumption pass (those act as the
-  // subsumers). Every clauses_ compaction adjusts the watermark by the
-  // number of entries dropped below it, so the delta is exact — no
-  // clamping, no drift. Problem binaries added since the last pass ride
-  // in pending_bins_ (they bypass the arena under binary watches).
-  size_t inproc_watermark_ = 0;
-  std::vector<std::pair<Lit, Lit>> pending_bins_;
   // False until the first vivification pass, which stamps the initial
   // encoding as seen instead of distilling it wholesale.
   bool vivify_primed_ = false;
@@ -702,58 +607,6 @@ class Solver {
   size_t arena_dead_words_ = 0;
   size_t arena_peak_words_ = 0;
   std::vector<uint32_t> arena_tmp_;
-
-  // Persistent occurrence index over the problem clauses (maintained
-  // when use_inprocessing is on): occur_[v] lists every arena
-  // clause containing v in clause-addition order, appended at AddClause,
-  // purged lazily when dead entries are scanned, and rebuilt exactly —
-  // same order — by GarbageCollect.
-  std::vector<std::vector<ClauseRef>> occur_;
-
-  // Stochastic local search scratch (SeedFromLocalSearch), pooled so
-  // repeated seeding/probing calls on a long-lived solver allocate
-  // nothing once warm. The active subformula (live clauses minus those
-  // satisfied by the fixing, fixed-false literals dropped) is gathered
-  // into flat CSR buffers per call.
-  struct SlsScratch {
-    std::vector<Lit> pool;          // clause literals, CSR
-    std::vector<int32_t> starts;    // clause -> offset into pool
-    std::vector<int32_t> occ;       // lit index -> clause ids, CSR
-    std::vector<int32_t> occ_start;
-    std::vector<int32_t> cursor;    // CSR fill cursors
-    std::vector<uint8_t> val;       // per var: current assignment
-    std::vector<uint8_t> fixed;     // per var: never flipped
-    std::vector<uint8_t> best;      // per var: best assignment seen
-    std::vector<int32_t> true_count;  // per clause
-    std::vector<int32_t> unsat_hard;  // stacks of unsatisfied clause ids
-    std::vector<int32_t> unsat_soft;
-    std::vector<int32_t> unsat_pos;   // clause -> position in its stack
-    std::vector<Var> free_vars;       // distinct unfixed vars in pool
-    std::vector<uint8_t> var_seen;    // per var: dedup for free_vars
-    std::vector<Var> cand;            // zero-break candidates per flip
-  };
-  SlsScratch sls_;
-  // Per-call RNG salt: advances on every auto-seeded search so repeated
-  // calls explore different trajectories, deterministically. Reset()
-  // zeroes it — a Reset solver replays the identical stream.
-  uint64_t sls_salt_ = 0;
-
-  // Incremental local-search verification cache: the last assignment a
-  // SeedFromLocalSearch call proved to satisfy every live clause, plus
-  // watermarks describing the formula it was proved against. A later
-  // call can then re-verify only what changed — variables whose value
-  // differs (their clauses found through occur_ and bins_), arena
-  // clauses appended past the watermark, and the logged problem
-  // binaries — instead of scanning the whole clause database. Any
-  // in-place clause edit or clause-list compaction bumps sls_epoch_,
-  // voiding the cache until the next full verification; the binary log
-  // is bounded, overflowing into the same voiding.
-  std::vector<uint8_t> sls_verified_val_;  // empty = nothing verified yet
-  size_t sls_verified_clauses_ = 0;        // clauses_.size() at verify
-  uint64_t sls_epoch_ = 0;
-  uint64_t sls_verified_epoch_ = 0;
-  bool sls_bin_log_overflow_ = false;
-  std::vector<std::pair<Lit, Lit>> sls_new_bins_;
 };
 
 /// \brief A batch of temporary variables and clauses on a persistent

@@ -267,7 +267,7 @@ TEST(SolverTest, MinimizationStaleSeenRegression) {
 // Random 3-SAT cross-checked against brute force under the solver's
 // engine configurations — inprocessing and the witness cache on or off,
 // a mid-stream Simplify() variant that exercises the inprocessing passes
-// on half-loaded formulas, eager arena compaction, local-search seeding,
+// on half-loaded formulas, eager arena compaction, saved-phase seeding,
 // and follow-up solves under random assumptions.
 struct FuzzParams {
   bool inprocessing = true;
@@ -275,7 +275,7 @@ struct FuzzParams {
   bool simplify_midway = false;  // feed half, Simplify (inprocess), rest
   bool eager_gc = false;         // gc_frac = 0: compact at every chance
   bool assume = false;           // then re-solve under random assumptions
-  bool sls_seed = false;         // run SeedFromLocalSearch before Solve
+  bool sls_seed = false;         // run the saved-phase check before Solve
 };
 
 class SolverFuzzTest : public ::testing::TestWithParam<FuzzParams> {};
@@ -326,16 +326,15 @@ TEST_P(SolverFuzzTest, MatchesBruteForce) {
     } else {
       solver.AddCnf(cnf);
     }
+    const bool expected = BruteForceSat(cnf);
     if (p.sls_seed && alive) {
-      // Local-search warm start: rewrites saved phases and may push a
-      // witness into the model pool, but the verdict below must still
-      // match brute force — SLS can only change time-to-verdict.
-      const LocalSearchResult seeded = solver.SeedFromLocalSearch();
-      if (seeded.feasible) {
-        EXPECT_EQ(seeded.hard_unsat, 0);
+      // Saved-phase check: may push a witness into the model pool, which
+      // the Solve below then answers from — a published model must be
+      // genuine, so the formula must be satisfiable.
+      if (solver.SeedFromLocalSearch()) {
+        EXPECT_TRUE(expected) << "round " << round;
       }
     }
-    const bool expected = BruteForceSat(cnf);
     const SolveResult got = solver.Solve();
     ASSERT_EQ(got == SolveResult::kSat, expected) << "round " << round;
     if (expected) {

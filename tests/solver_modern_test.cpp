@@ -32,7 +32,6 @@ SolverOptions MakeOptions(bool inproc, bool gc, bool sls, bool cache,
   o.use_inprocessing = inproc;
   o.use_arena_gc = gc;
   o.use_sls_seeding = sls;
-  o.use_sls_probing = sls;
   o.use_model_cache = cache;
   o.use_backbone_deduce = backbone;
   return o;
@@ -80,7 +79,7 @@ std::string ResolveCorpusToJson(const Dataset& ds,
 }
 
 // Every combination of the four ablation axes — inprocessing, arena GC,
-// the SLS warm-start bit, and (bit 8) the backbone Deduce engine
+// saved-phase seeding, and (bit 8) the backbone Deduce engine
 // exercised on the NaiveDeduce pipeline, with the witness cache on (the
 // default) — plus the legacy-preset, cache-less and eager-GC spot checks
 // produce byte-identical ExperimentResults on all three corpora. The
@@ -246,22 +245,23 @@ TEST(InprocessingTest, SubsumptionAndVivificationCounters) {
   SolverOptions opts;  // modern defaults, inprocessing on
   Solver s(opts);
   const Var a = s.NewVar(), b = s.NewVar(), c = s.NewVar(), d = s.NewVar();
-  // Baseline DB with a redundant (subsumable) and a vivifiable clause.
-  ASSERT_TRUE(s.AddClause(
-      {Lit::Pos(a), Lit::Pos(b), Lit::Pos(c), Lit::Pos(d)}));  // target
-  ASSERT_TRUE(s.AddClause({Lit::Neg(a), Lit::Pos(b), Lit::Pos(c)}));
+  // Baseline DB: (a ∨ b ∨ ¬d).
+  ASSERT_TRUE(s.AddClause({Lit::Pos(a), Lit::Pos(b), Lit::Neg(d)}));
   ASSERT_TRUE(s.Simplify());  // primes implicitly: baseline stamped
-  // The delta: (a ∨ b) subsumes the 4-ary clause's a∨b∨c∨d? No — it
-  // subsumes nothing yet, but self-subsumes (¬a ∨ b ∨ c) into (b ∨ c).
-  ASSERT_TRUE(s.AddClause({Lit::Pos(a), Lit::Pos(b), Lit::Pos(c)}));
+  // The delta (a ∨ b ∨ c ∨ d): vivification assumes ¬a and ¬b, the
+  // baseline then propagates ¬d, so d is redundant and the clause
+  // shortens to (a ∨ b ∨ c).
+  ASSERT_TRUE(s.AddClause(
+      {Lit::Pos(a), Lit::Pos(b), Lit::Pos(c), Lit::Pos(d)}));
   ASSERT_TRUE(s.Simplify());
-  EXPECT_GT(s.stats().subsumed, 0)
-      << "(a∨b∨c) must subsume/strengthen the baseline clauses";
-  // Equivalence is preserved: (a∨b∨c) ∧ (¬a∨b∨c) ⊨ (b∨c), so ¬b∧¬c is
-  // contradictory while ¬b alone is not.
-  ASSERT_EQ(s.SolveWithAssumptions({Lit::Neg(b)}), SolveResult::kSat);
+  EXPECT_EQ(s.stats().vivified, 1);
+  // Equivalence is preserved: ¬a∧¬b forces c, and ¬a∧¬b∧¬c is
+  // contradictory.
+  ASSERT_EQ(s.SolveWithAssumptions({Lit::Neg(a), Lit::Neg(b)}),
+            SolveResult::kSat);
   EXPECT_TRUE(s.ModelValue(c));
-  EXPECT_EQ(s.SolveWithAssumptions({Lit::Neg(b), Lit::Neg(c)}),
+  EXPECT_FALSE(s.ModelValue(d));
+  EXPECT_EQ(s.SolveWithAssumptions({Lit::Neg(a), Lit::Neg(b), Lit::Neg(c)}),
             SolveResult::kUnsat);
 }
 
@@ -276,7 +276,7 @@ TEST(InprocessingTest, VivificationShortensImpliedClause) {
   ASSERT_TRUE(s.AddClause({Lit::Pos(a), Lit::Pos(b), Lit::Pos(x)}));
   ASSERT_TRUE(s.AddClause({Lit::Pos(c), Lit::Pos(x), Lit::Pos(b)}));
   ASSERT_TRUE(s.Simplify());
-  EXPECT_GT(s.stats().vivified + s.stats().subsumed, 0);
+  EXPECT_GT(s.stats().vivified, 0);
   // Still equivalent.
   EXPECT_EQ(s.SolveWithAssumptions({Lit::Neg(a)}), SolveResult::kSat);
   EXPECT_TRUE(s.ModelValue(b));
@@ -337,6 +337,35 @@ TEST(ArenaGcTest, CompactionReclaimsDeadWordsAndKeepsAnswers) {
             SolveResult::kUnsat);
   ASSERT_EQ(s.Solve(), SolveResult::kSat);
   EXPECT_TRUE(s.ModelValue(hub));
+}
+
+// Every arena clause is a two-word header plus one word per literal.
+// Pins the header width in every place that sizes a clause: allocation,
+// dead-word accounting and relocation.
+TEST(ArenaGcTest, TernaryClausesCostFiveWords) {
+  SolverOptions opts;
+  opts.use_arena_gc = false;  // collect by hand below
+  Solver s(opts);
+  const int n = 40, k = 15;
+  const Var hub = s.NewVar();
+  std::vector<Var> v(3 * n);
+  for (Var& x : v) x = s.NewVar();
+  // The first k clauses hold the hub, so forcing it later kills them.
+  for (int i = 0; i < n; ++i) {
+    const Lit first = i < k ? Lit::Pos(hub) : Lit::Pos(v[3 * i + 2]);
+    ASSERT_TRUE(s.AddClause(
+        {first, Lit::Pos(v[3 * i]), Lit::Pos(v[3 * i + 1])}));
+  }
+  EXPECT_EQ(s.arena_peak_words(), static_cast<size_t>(n * (2 + 3)));
+  EXPECT_EQ(s.arena_words(), static_cast<size_t>(n * (2 + 3)));
+  ASSERT_TRUE(s.AddClause({Lit::Pos(hub)}));
+  ASSERT_TRUE(s.Simplify());  // sweeps the k satisfied clauses
+  EXPECT_EQ(s.arena_words() - s.arena_live_words(),
+            static_cast<size_t>(k * 5));
+  s.GarbageCollect();
+  EXPECT_EQ(s.stats().gc_reclaimed_words, k * 5);
+  EXPECT_EQ(s.arena_words(), static_cast<size_t>((n - k) * 5));
+  EXPECT_EQ(s.Solve(), SolveResult::kSat);
 }
 
 TEST(ArenaGcTest, ModelCacheSurvivesRelocation) {

@@ -76,14 +76,14 @@ void PrintUsage(std::FILE* to) {
                "                    every round; A/B reference)\n"
                "  --solver S        modern (every optional solver engine\n"
                "                    on: inprocessing, model cache, arena\n"
-               "                    GC, local search, backbone Deduce;\n"
+               "                    GC, phase seeding, backbone Deduce;\n"
                "                    default) | legacy (every engine off;\n"
                "                    the bare CDCL search) | nogc (modern\n"
                "                    with arena GC off) | sls (alias of\n"
-               "                    modern; the SLS warm starts are on by\n"
+               "                    modern; saved-phase seeding is on by\n"
                "                    default) | nosls\n"
-               "                    (modern with local-search seeding and\n"
-               "                    MaxSAT probing off) | nobackbone\n"
+               "                    (modern with saved-phase seeding\n"
+               "                    off) | nobackbone\n"
                "                    (modern with the backbone Deduce engine\n"
                "                    off: one Lemma-6 solve per pair on the\n"
                "                    naive pipeline). Results are\n"
@@ -353,11 +353,10 @@ void DumpSolverStats(const ExperimentResult& r) {
                  "    \"%s\": {\"conflicts\": %lld, \"decisions\": %lld, "
                  "\"propagations\": %lld, \"binary_propagations\": %lld, "
                  "\"restarts\": %lld, \"assumption_solves\": %lld, "
-                 "\"learnt_literals\": %lld, \"subsumed\": %lld, "
+                 "\"learnt_literals\": %lld, "
                  "\"vivified\": %lld, \"model_cache_hits\": %lld, "
                  "\"gc_runs\": %lld, \"gc_reclaimed_words\": %lld, "
-                 "\"sls_flips\": %lld, \"sls_seeded_models\": %lld, "
-                 "\"sls_probes\": %lld, \"sls_probe_wins\": %lld, "
+                 "\"sls_seeded_models\": %lld, "
                  "\"deduce_queries\": %lld, "
                  "\"deduce_model_prunes\": %lld, "
                  "\"deduce_propagation_proofs\": %lld, "
@@ -369,15 +368,11 @@ void DumpSolverStats(const ExperimentResult& r) {
                  static_cast<long long>(s.restarts),
                  static_cast<long long>(s.assumption_solves),
                  static_cast<long long>(s.learnt_literals),
-                 static_cast<long long>(s.subsumed),
                  static_cast<long long>(s.vivified),
                  static_cast<long long>(s.model_cache_hits),
                  static_cast<long long>(s.gc_runs),
                  static_cast<long long>(s.gc_reclaimed_words),
-                 static_cast<long long>(s.sls_flips),
                  static_cast<long long>(s.sls_seeded_models),
-                 static_cast<long long>(s.sls_probes),
-                 static_cast<long long>(s.sls_probe_wins),
                  static_cast<long long>(s.deduce_queries),
                  static_cast<long long>(s.deduce_model_prunes),
                  static_cast<long long>(s.deduce_propagation_proofs),
