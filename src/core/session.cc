@@ -45,11 +45,6 @@ Instantiation* SessionScratch::AcquireInstantiation() {
   return inst_.get();
 }
 
-maxsat::WalkSatScratch* SessionScratch::AcquireWalkSatScratch() {
-  if (walksat_ == nullptr) walksat_ = std::make_unique<maxsat::WalkSatScratch>();
-  return walksat_.get();
-}
-
 DeduceScratch* SessionScratch::AcquireDeduceScratch() {
   if (deduce_ == nullptr) deduce_ = std::make_unique<DeduceScratch>();
   return deduce_.get();

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "src/core/resolver.h"
-#include "src/maxsat/walksat.h"
 #include "src/sat/cnf.h"
 #include "src/sat/solver.h"
 
@@ -65,12 +64,6 @@ class SessionScratch {
   /// buckets and the constraint vector stay warm across entities.
   Instantiation* AcquireInstantiation();
 
-  /// WalkSAT working buffers (occurrence CSR, counters, unsat stack) for
-  /// RunWalkSat, kept warm across calls — the same pooling pattern as
-  /// AcquireInstantiation. The buffers carry no semantic state between
-  /// runs (RunWalkSat reinitializes them), so no reset is needed.
-  maxsat::WalkSatScratch* AcquireWalkSatScratch();
-
   /// DeduceOrder's unit-propagation buffers (occurrence lists, clause
   /// counters, the literal queue), kept warm across every round of every
   /// entity — DeduceOrder overwrites them from the CNF each call, so no
@@ -84,7 +77,6 @@ class SessionScratch {
   std::unique_ptr<sat::Solver> solver_;
   std::unique_ptr<sat::Cnf> cnf_;
   std::unique_ptr<Instantiation> inst_;
-  std::unique_ptr<maxsat::WalkSatScratch> walksat_;
   std::unique_ptr<DeduceScratch> deduce_;
   int64_t solver_reuses_ = 0;
 };

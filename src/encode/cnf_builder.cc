@@ -1,5 +1,6 @@
 #include "src/encode/cnf_builder.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace ccr {
@@ -27,54 +28,21 @@ void AddConstraintClause(const VarMap& vm, const GroundConstraint& gc,
 
 }  // namespace
 
-sat::Cnf BuildCnf(const Instantiation& inst, const CnfBuildOptions& options) {
+sat::Cnf BuildCnf(const Instantiation& inst) {
   sat::Cnf cnf;
-  BuildCnfInto(inst, &cnf, options);
+  BuildCnfInto(inst, &cnf);
   return cnf;
 }
 
-void BuildCnfInto(const Instantiation& inst, sat::Cnf* out,
-                  const CnfBuildOptions& options) {
-  const VarMap& vm = inst.varmap;
-  sat::Cnf& cnf = *out;
-  cnf.Clear();
-  cnf.EnsureVars(vm.num_vars());
-
-  // Materialized ground constraints.
-  std::vector<sat::Lit> clause;
-  for (const GroundConstraint& gc : inst.constraints) {
-    AddConstraintClause(vm, gc, &clause, &cnf);
-  }
-
-  // Structural axioms per attribute domain.
-  for (int a = 0; a < vm.num_attrs(); ++a) {
-    const int d = static_cast<int>(vm.domain(a).size());
-    if (options.asymmetry) {
-      for (int i = 0; i < d; ++i) {
-        for (int j = i + 1; j < d; ++j) {
-          cnf.AddBinary(sat::Lit::Neg(vm.VarOf(a, i, j)),
-                        sat::Lit::Neg(vm.VarOf(a, j, i)));
-        }
-      }
-    }
-    if (options.transitivity) {
-      for (int i = 0; i < d; ++i) {
-        for (int j = 0; j < d; ++j) {
-          if (j == i) continue;
-          for (int k = 0; k < d; ++k) {
-            if (k == i || k == j) continue;
-            cnf.AddTernary(sat::Lit::Neg(vm.VarOf(a, i, j)),
-                           sat::Lit::Neg(vm.VarOf(a, j, k)),
-                           sat::Lit::Pos(vm.VarOf(a, i, k)));
-          }
-        }
-      }
-    }
-  }
+void BuildCnfInto(const Instantiation& inst, sat::Cnf* out) {
+  out->Clear();
+  InstantiationDelta from_empty;
+  from_empty.old_domain_sizes.assign(inst.varmap.num_attrs(), 0);
+  ExtendCnf(inst, from_empty, out);
 }
 
 void ExtendCnf(const Instantiation& inst, const InstantiationDelta& delta,
-               sat::Cnf* cnf, const CnfBuildOptions& options) {
+               sat::Cnf* cnf) {
   const VarMap& vm = inst.varmap;
   cnf->EnsureVars(vm.num_vars());
 
@@ -93,32 +61,29 @@ void ExtendCnf(const Instantiation& inst, const InstantiationDelta& delta,
   }
 
   // Structural axioms for atom pairs/triples touching a new domain value.
-  // Costs O(d^2 · Δ) per grown attribute instead of the O(d^3) rebuild.
+  // Costs O(d^2 · Δ) per grown attribute instead of the O(d^3) rebuild;
+  // from empty domains (BuildCnfInto) the same loops emit the full set.
   for (int a = 0; a < vm.num_attrs(); ++a) {
     const int d0 = delta.old_domain_sizes[a];
     const int d = static_cast<int>(vm.domain(a).size());
     if (d == d0) continue;
-    if (options.asymmetry) {
-      for (int j = d0; j < d; ++j) {
-        for (int i = 0; i < j; ++i) {
-          cnf->AddBinary(sat::Lit::Neg(vm.VarOf(a, i, j)),
-                         sat::Lit::Neg(vm.VarOf(a, j, i)));
-        }
+    for (int i = 0; i < d; ++i) {
+      for (int j = std::max(i + 1, d0); j < d; ++j) {
+        cnf->AddBinary(sat::Lit::Neg(vm.VarOf(a, i, j)),
+                       sat::Lit::Neg(vm.VarOf(a, j, i)));
       }
     }
-    if (options.transitivity) {
-      for (int i = 0; i < d; ++i) {
-        for (int j = 0; j < d; ++j) {
-          if (j == i) continue;
-          // Old (i, j) pairs only need the new k range; any pair touching
-          // a new value needs every k.
-          const int k_begin = (i < d0 && j < d0) ? d0 : 0;
-          for (int k = k_begin; k < d; ++k) {
-            if (k == i || k == j) continue;
-            cnf->AddTernary(sat::Lit::Neg(vm.VarOf(a, i, j)),
-                            sat::Lit::Neg(vm.VarOf(a, j, k)),
-                            sat::Lit::Pos(vm.VarOf(a, i, k)));
-          }
+    for (int i = 0; i < d; ++i) {
+      for (int j = 0; j < d; ++j) {
+        if (j == i) continue;
+        // Old (i, j) pairs only need the new k range; any pair touching
+        // a new value needs every k.
+        const int k_begin = (i < d0 && j < d0) ? d0 : 0;
+        for (int k = k_begin; k < d; ++k) {
+          if (k == i || k == j) continue;
+          cnf->AddTernary(sat::Lit::Neg(vm.VarOf(a, i, j)),
+                          sat::Lit::Neg(vm.VarOf(a, j, k)),
+                          sat::Lit::Pos(vm.VarOf(a, i, k)));
         }
       }
     }

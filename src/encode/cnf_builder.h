@@ -14,24 +14,15 @@
 
 namespace ccr {
 
-/// Φ(Se) construction knobs.
-struct CnfBuildOptions {
-  /// Include the O(d^3) transitivity axioms. Always on for semantic
-  /// fidelity; exposed for the encoding micro-benchmarks.
-  bool transitivity = true;
-  /// Include the asymmetry axioms (x_ab -> ¬x_ba).
-  bool asymmetry = true;
-};
-
 /// Builds Φ(Se) over the variables of `inst.varmap`.
-sat::Cnf BuildCnf(const Instantiation& inst,
-                  const CnfBuildOptions& options = {});
+sat::Cnf BuildCnf(const Instantiation& inst);
 
 /// Builds Φ(Se) into `*cnf` (cleared first, keeping its buffer capacity).
 /// Identical output to BuildCnf; the out-parameter form lets a recycled
-/// formula (SessionScratch) be refilled without fresh allocations.
-void BuildCnfInto(const Instantiation& inst, sat::Cnf* cnf,
-                  const CnfBuildOptions& options = {});
+/// formula (SessionScratch) be refilled without fresh allocations. This is
+/// ExtendCnf from the empty formula: every constraint is new and every
+/// domain grew from size 0.
+void BuildCnfInto(const Instantiation& inst, sat::Cnf* cnf);
 
 /// Appends to `cnf` exactly the clauses Φ(Se ⊕ Ot) gains from an
 /// Instantiation::ExtendWith call: one unit per retired CFD guard
@@ -39,9 +30,9 @@ void BuildCnfInto(const Instantiation& inst, sat::Cnf* cnf,
 /// per new ground constraint, plus the asymmetry/transitivity axioms for
 /// atom pairs/triples that touch a newly added domain value. `cnf` must be
 /// the formula previously built (and possibly already extended) from
-/// `inst`; `options` must match across all calls.
+/// `inst`.
 void ExtendCnf(const Instantiation& inst, const InstantiationDelta& delta,
-               sat::Cnf* cnf, const CnfBuildOptions& options = {});
+               sat::Cnf* cnf);
 
 }  // namespace ccr
 

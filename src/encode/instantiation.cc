@@ -1,6 +1,7 @@
 #include "src/encode/instantiation.h"
 
 #include <algorithm>
+#include <map>
 
 #include "src/common/status.h"
 
@@ -58,14 +59,53 @@ std::string GroundConstraint::ToString(const VarMap& vm,
   return out;
 }
 
+// Pairs are enumerated generation-major — for every new projection n, all
+// pairs with earlier projections m — so a sequence of calls emits exactly
+// what one call over all tuples does.
+void Instantiation::GroundSigma(const Specification& se, int first_tuple,
+                                const InstantiationOptions& options) {
+  const EntityInstance& ie = se.instance();
+  const int n_attrs = se.schema().size();
+  std::vector<int> old_sizes;
+  old_sizes.reserve(tables_.size());
+  for (ProjectionTable& table : tables_) {
+    old_sizes.push_back(static_cast<int>(table.projections.size()));
+    for (int t = first_tuple; t < ie.size(); ++t) {
+      const Tuple& tuple = ie.tuple(t);
+      std::vector<Value> key;
+      key.reserve(table.attrs.size());
+      for (int a : table.attrs) key.push_back(tuple.at(a));
+      auto [it, inserted] = table.proj_ids.emplace(
+          std::move(key), static_cast<int>(table.projections.size()));
+      if (inserted) {
+        std::vector<Value> wide(n_attrs);
+        for (int a : table.attrs) wide[a] = tuple.at(a);
+        table.projections.emplace_back(std::move(wide));
+      }
+    }
+  }
+
+  for (size_t ci = 0; ci < se.sigma.size(); ++ci) {
+    const CurrencyConstraint& phi = se.sigma[ci];
+    const int ti = sigma_table_[ci];
+    const ProjectionTable& table = tables_[ti];
+    const int np = static_cast<int>(table.projections.size());
+    for (int n = old_sizes[ti]; n < np; ++n) {
+      for (int m = 0; m < n; ++m) {
+        GroundSigmaPair(phi, static_cast<int>(ci), table, m, n, options);
+        GroundSigmaPair(phi, static_cast<int>(ci), table, n, m, options);
+      }
+    }
+  }
+}
+
 // Grounds ϕ = sigma[ci] on the (ordered) projection pair (p, q) of its
-// state table, appending at most one constraint.
+// table, appending at most one constraint.
 void Instantiation::GroundSigmaPair(const CurrencyConstraint& phi, int ci,
-                                    int p, int q,
+                                    const ProjectionTable& table, int p, int q,
                                     const InstantiationOptions& options) {
-  const SigmaState& ss = sigma_state_[ci];
-  const Tuple& s1 = ss.projections[p];
-  const Tuple& s2 = ss.projections[q];
+  const Tuple& s1 = table.projections[p];
+  const Tuple& s2 = table.projections[q];
   if (!phi.ComparisonsHold(s1, s2)) return;
 
   // Head first: many instantiations are vacuous.
@@ -109,6 +149,23 @@ void Instantiation::GroundSigmaPair(const CurrencyConstraint& phi, int ci,
     gc.head = OrderAtom{ar, varmap.ValueIndex(ar, h1),
                         varmap.ValueIndex(ar, h2)};
   }
+  constraints.push_back(std::move(gc));
+}
+
+void Instantiation::GroundOrderUnit(const EntityInstance& ie, int attr,
+                                    int t_less, int t_more) {
+  const Value& lv = ie.tuple(t_less).at(attr);
+  const Value& mv = ie.tuple(t_more).at(attr);
+  // Null endpoints carry no value-level content: a null is ranked lowest
+  // regardless (§II-A).
+  if (lv.is_null() || mv.is_null() || lv == mv) return;
+  const int li = varmap.ValueIndex(attr, lv);
+  const int mi = varmap.ValueIndex(attr, mv);
+  CCR_DCHECK(li >= 0 && mi >= 0);
+  if (!unit_seen_.insert(UnitKey(attr, li, mi)).second) return;
+  GroundConstraint gc;
+  gc.source = GroundSource::kCurrencyOrder;
+  gc.head = OrderAtom{attr, li, mi};
   constraints.push_back(std::move(gc));
 }
 
@@ -164,32 +221,41 @@ Status Instantiation::BuildInto(const Specification& se, Instantiation* out,
   // buckets, the unit-dedup set).
   inst.constraints.clear();
   inst.unit_seen_.clear();
-  for (SigmaState& ss : inst.sigma_state_) {
-    ss.attrs.clear();
-    ss.proj_ids.clear();
-    ss.projections.clear();
-  }
   inst.active_guards_.clear();
   inst.guarded_ = options.guard_cfds;
   inst.varmap.BuildFrom(se);
-  const VarMap& vm = inst.varmap;
-  const Schema& schema = se.schema();
-  const EntityInstance& ie = se.instance();
-  const int n_attrs = schema.size();
+  const int n_attrs = se.schema().size();
 
-  // Bounds-check constraints up front.
+  // Bounds-check constraints up front, and give every σ the projection
+  // table of its attribute set (tables in first-use order).
+  std::map<std::vector<int>, int> table_of;
+  inst.sigma_table_.clear();
   for (const auto& phi : se.sigma) {
     if (phi.head_attr() < 0 || phi.head_attr() >= n_attrs) {
       return Status::InvalidArgument("currency constraint head attribute "
                                      "out of range");
     }
-    for (int a : MentionedAttrs(phi)) {
+    std::vector<int> attrs = MentionedAttrs(phi);
+    for (int a : attrs) {
       if (a < 0 || a >= n_attrs) {
         return Status::InvalidArgument(
             "currency constraint attribute out of range");
       }
     }
+    const int next = static_cast<int>(table_of.size());
+    auto [it, inserted] = table_of.emplace(std::move(attrs), next);
+    if (inserted) {
+      if (next == static_cast<int>(inst.tables_.size())) {
+        inst.tables_.emplace_back();
+      }
+      ProjectionTable& table = inst.tables_[next];
+      table.attrs = it->first;
+      table.proj_ids.clear();
+      table.projections.clear();
+    }
+    inst.sigma_table_.push_back(it->second);
   }
+  inst.tables_.resize(table_of.size());
   for (const auto& cfd : se.gamma) {
     if (cfd.rhs_attr() < 0 || cfd.rhs_attr() >= n_attrs) {
       return Status::InvalidArgument("CFD RHS attribute out of range");
@@ -201,7 +267,7 @@ Status Instantiation::BuildInto(const Specification& se, Instantiation* out,
     }
   }
 
-  inst.num_tuples_ = ie.size();
+  inst.num_tuples_ = se.instance().size();
   inst.cfd_applicable_.assign(se.gamma.size(), false);
   inst.cfd_lhs_attr_.assign(n_attrs, false);
   inst.cfd_guard_.assign(se.gamma.size(), sat::kVarUndef);
@@ -209,56 +275,15 @@ Status Instantiation::BuildInto(const Specification& se, Instantiation* out,
   // (1a) Partial currency orders of It, lifted to value-level unit rules.
   for (int a = 0; a < n_attrs; ++a) {
     for (const auto& [t_less, t_more] : se.temporal.orders(a)) {
-      const Value& lv = ie.tuple(t_less).at(a);
-      const Value& mv = ie.tuple(t_more).at(a);
-      // Null endpoints carry no value-level content: a null is ranked
-      // lowest regardless (§II-A).
-      if (lv.is_null() || mv.is_null() || lv == mv) continue;
-      const int li = vm.ValueIndex(a, lv);
-      const int mi = vm.ValueIndex(a, mv);
-      CCR_DCHECK(li >= 0 && mi >= 0);
-      if (!inst.unit_seen_.insert(UnitKey(a, li, mi)).second) continue;
-      GroundConstraint gc;
-      gc.source = GroundSource::kCurrencyOrder;
-      gc.head = OrderAtom{a, li, mi};
-      inst.constraints.push_back(std::move(gc));
+      inst.GroundOrderUnit(se.instance(), a, t_less, t_more);
     }
   }
 
-  // (2) Currency constraints, grounded over deduplicated tuple-pair
-  // projections. Pairs are enumerated generation-major — for every
-  // projection n, all pairs with earlier projections m < n — so that
-  // ExtendWith (which appends projections) emits the same sequence.
-  inst.sigma_state_.resize(se.sigma.size());
-  for (size_t ci = 0; ci < se.sigma.size(); ++ci) {
-    const CurrencyConstraint& phi = se.sigma[ci];
-    SigmaState& ss = inst.sigma_state_[ci];
-    ss.attrs = MentionedAttrs(phi);
-
-    for (const Tuple& t : ie.tuples()) {
-      std::vector<Value> key;
-      key.reserve(ss.attrs.size());
-      for (int a : ss.attrs) key.push_back(t.at(a));
-      auto [it, inserted] = ss.proj_ids.emplace(
-          std::move(key), static_cast<int>(ss.projections.size()));
-      if (inserted) {
-        std::vector<Value> wide(n_attrs);
-        for (int a : ss.attrs) wide[a] = t.at(a);
-        ss.projections.emplace_back(std::move(wide));
-      }
-    }
-
-    const int np = static_cast<int>(ss.projections.size());
-    for (int n = 1; n < np; ++n) {
-      for (int m = 0; m < n; ++m) {
-        inst.GroundSigmaPair(phi, static_cast<int>(ci), m, n, options);
-        inst.GroundSigmaPair(phi, static_cast<int>(ci), n, m, options);
-      }
-    }
-  }
+  // (2) Currency constraints over deduplicated tuple-pair projections.
+  inst.GroundSigma(se, /*first_tuple=*/0, options);
 
   // (3) Applicable constant CFDs: ωX -> b ≺^v_B tp[B] for each competing b.
-  for (int gi : vm.applicable_cfds()) {
+  for (int gi : inst.varmap.applicable_cfds()) {
     if (inst.guarded_) {
       inst.cfd_guard_[gi] = inst.varmap.NewAuxVar();
       inst.active_guards_.push_back(sat::Lit::Pos(inst.cfd_guard_[gi]));
@@ -312,32 +337,16 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
   // CFD reachability fixpoint over the pending values: a CFD whose LHS
   // becomes reachable contributes its RHS constant (possibly cascading).
   std::vector<int> newly_applicable;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (size_t i = 0; i < extended_se.gamma.size(); ++i) {
-      if (cfd_applicable_[i]) continue;
-      if (std::find(newly_applicable.begin(), newly_applicable.end(),
-                    static_cast<int>(i)) != newly_applicable.end()) {
-        continue;
-      }
-      const ConstantCfd& cfd = extended_se.gamma[i];
-      bool lhs_reachable = true;
-      for (const auto& [attr, c] : cfd.lhs()) {
-        if (!in_domain(attr, c)) {
-          lhs_reachable = false;
-          break;
+  std::vector<bool> applicable = cfd_applicable_;
+  CfdReachabilityFixpoint(
+      extended_se.gamma, &applicable, in_domain, [&](int gi) {
+        newly_applicable.push_back(gi);
+        const ConstantCfd& cfd = extended_se.gamma[gi];
+        if (!in_domain(cfd.rhs_attr(), cfd.rhs_value())) {
+          pending.push_back({cfd.rhs_attr(), cfd.rhs_value(),
+                             /*active=*/false});
         }
-      }
-      if (!lhs_reachable) continue;
-      newly_applicable.push_back(static_cast<int>(i));
-      changed = true;
-      if (!in_domain(cfd.rhs_attr(), cfd.rhs_value())) {
-        pending.push_back({cfd.rhs_attr(), cfd.rhs_value(),
-                           /*active=*/false});
-      }
-    }
-  }
+      });
 
   // A new value in the LHS attribute of an already-grounded CFD
   // *strengthens* every emitted rule body for that CFD (the pattern must
@@ -409,44 +418,11 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
 
   // (1a) The delta's currency orders, lifted to value-level unit rules.
   for (const auto& [a, t_less, t_more] : delta.orders) {
-    const Value& lv = ie.tuple(t_less).at(a);
-    const Value& mv = ie.tuple(t_more).at(a);
-    if (lv.is_null() || mv.is_null() || lv == mv) continue;
-    const int li = varmap.ValueIndex(a, lv);
-    const int mi = varmap.ValueIndex(a, mv);
-    CCR_DCHECK(li >= 0 && mi >= 0);
-    if (!unit_seen_.insert(UnitKey(a, li, mi)).second) continue;
-    GroundConstraint gc;
-    gc.source = GroundSource::kCurrencyOrder;
-    gc.head = OrderAtom{a, li, mi};
-    constraints.push_back(std::move(gc));
+    GroundOrderUnit(ie, a, t_less, t_more);
   }
 
   // (2) New tuple-pair projections, paired with everything before them.
-  for (size_t ci = 0; ci < extended_se.sigma.size(); ++ci) {
-    const CurrencyConstraint& phi = extended_se.sigma[ci];
-    SigmaState& ss = sigma_state_[ci];
-    const int old_np = static_cast<int>(ss.projections.size());
-    for (int t = num_tuples_; t < ie.size(); ++t) {
-      std::vector<Value> key;
-      key.reserve(ss.attrs.size());
-      for (int a : ss.attrs) key.push_back(ie.tuple(t).at(a));
-      auto [it, inserted] = ss.proj_ids.emplace(
-          std::move(key), static_cast<int>(ss.projections.size()));
-      if (inserted) {
-        std::vector<Value> wide(n_attrs);
-        for (int a : ss.attrs) wide[a] = ie.tuple(t).at(a);
-        ss.projections.emplace_back(std::move(wide));
-      }
-    }
-    const int np = static_cast<int>(ss.projections.size());
-    for (int n = old_np; n < np; ++n) {
-      for (int m = 0; m < n; ++m) {
-        GroundSigmaPair(phi, static_cast<int>(ci), m, n, options);
-        GroundSigmaPair(phi, static_cast<int>(ci), n, m, options);
-      }
-    }
-  }
+  GroundSigma(extended_se, num_tuples_, options);
 
   // (3) CFDs: newly competing values of still-valid applicable CFDs (their
   // LHS domains did not change, so recomputed bodies match the rules

@@ -14,15 +14,20 @@
 // Grounding deduplicates tuple pairs by their projection onto the
 // attributes a constraint mentions, so the cost is bounded by distinct
 // value combinations instead of |It|^2 — this is what makes the paper's
-// 10k-tuple Person entities (Fig. 8(a)) tractable.
+// 10k-tuple Person entities (Fig. 8(a)) tractable. Constraints that
+// mention the same attribute set share one projection table: a tuple is
+// hashed once per distinct set (7 for the Person spec's 983 constraints),
+// not once per constraint.
 //
 // The framework loop (Fig. 4) re-grounds the *same* specification plus a
-// small user delta every round, so Build retains its grounding state
-// (projection tables, emitted units, CFD applicability) and ExtendWith
-// grounds only the delta, appending constraints and domain values without
-// disturbing anything already emitted. Appended constraints follow the
-// same canonical order a from-scratch Build would produce (see `seq`), so
-// downstream rule mining is bit-compatible with a full rebuild.
+// small user delta every round, so the instantiation retains its grounding
+// state (projection tables, emitted units, CFD applicability) and
+// ExtendWith grounds only the delta, appending constraints and domain
+// values without disturbing anything already emitted. Build is the same
+// extension run from an empty state over every tuple: one routine grounds
+// the tuples [first, n) for both, so appended constraints follow the
+// canonical order a from-scratch Build produces (see `seq`) and downstream
+// rule mining is bit-compatible with a full rebuild.
 
 #ifndef CCR_ENCODE_INSTANTIATION_H_
 #define CCR_ENCODE_INSTANTIATION_H_
@@ -95,24 +100,13 @@ struct InstantiationOptions {
   bool guard_cfds = false;
 };
 
-/// Hash / equality over a projection (vector of values), used by the
-/// grounding's tuple-pair deduplication tables.
+/// Hash over a projection (vector of values), used by the grounding's
+/// tuple-pair deduplication tables.
 struct ProjHash {
   size_t operator()(const std::vector<Value>& vs) const {
     size_t h = 0x9e3779b97f4a7c15ULL;
     for (const Value& v : vs) h = h * 1315423911ULL + v.Hash();
     return h;
-  }
-};
-
-struct ProjEq {
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (!(a[i] == b[i])) return false;
-    }
-    return true;
   }
 };
 
@@ -178,20 +172,33 @@ struct Instantiation {
       const InstantiationOptions& options = {});
 
  private:
-  // Per-Σ-constraint grounding state: the mentioned attributes and the
-  // deduplicated tuple-pair projection table, retained so ExtendWith can
-  // ground only projections contributed by new tuples.
-  struct SigmaState {
+  // The deduplicated projections of the grounded tuples onto one attribute
+  // set, shared by every σ that mentions exactly those attributes. Ids are
+  // first-occurrence order, so a table is the one each of its σ would
+  // build alone and pair indices (hence `seq`) do not depend on sharing.
+  struct ProjectionTable {
     std::vector<int> attrs;
-    std::unordered_map<std::vector<Value>, int, ProjHash, ProjEq> proj_ids;
+    std::unordered_map<std::vector<Value>, int, ProjHash> proj_ids;
     std::vector<Tuple> projections;  // full-width, nulls off-projection
   };
 
-  void GroundSigmaPair(const CurrencyConstraint& phi, int ci, int p, int q,
+  // Family (2) for tuples [first_tuple, |It|): projects them into every
+  // table, then grounds each σ, σ-major, on the projection pairs that
+  // involve a projection this call added. Build passes 0, ExtendWith the
+  // number of tuples already grounded.
+  void GroundSigma(const Specification& se, int first_tuple,
+                   const InstantiationOptions& options);
+  void GroundSigmaPair(const CurrencyConstraint& phi, int ci,
+                       const ProjectionTable& table, int p, int q,
                        const InstantiationOptions& options);
+  // Family (1a): the tuple order t_less ≺_attr t_more as a value-level
+  // unit rule, emitted once per distinct value pair.
+  void GroundOrderUnit(const EntityInstance& ie, int attr, int t_less,
+                       int t_more);
   void GroundCfd(int gi, const Specification& se, int first_b);
 
-  std::vector<SigmaState> sigma_state_;
+  std::vector<ProjectionTable> tables_;  // one per distinct attribute set
+  std::vector<int> sigma_table_;         // per sigma index: its table
   std::unordered_set<uint64_t> unit_seen_;  // family (1a) dedup keys
   std::vector<bool> cfd_applicable_;        // per gamma index
   std::vector<bool> cfd_lhs_attr_;  // attr is LHS of an applicable CFD

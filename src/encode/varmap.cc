@@ -50,25 +50,12 @@ void VarMap::BuildFrom(const Specification& se) {
   // Reachability fixpoint over CFD constants: applicable CFDs contribute
   // their RHS constant as a possible (repaired) current value.
   std::vector<bool> applicable(se.gamma.size(), false);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (size_t i = 0; i < se.gamma.size(); ++i) {
-      if (applicable[i]) continue;
-      const ConstantCfd& cfd = se.gamma[i];
-      bool lhs_reachable = true;
-      for (const auto& [attr, c] : cfd.lhs()) {
-        if (vm.ValueIndex(attr, c) < 0) {
-          lhs_reachable = false;
-          break;
-        }
-      }
-      if (!lhs_reachable) continue;
-      applicable[i] = true;
-      changed = true;
-      add_value(cfd.rhs_attr(), cfd.rhs_value());
-    }
-  }
+  CfdReachabilityFixpoint(
+      se.gamma, &applicable,
+      [&vm](int attr, const Value& c) { return vm.ValueIndex(attr, c) >= 0; },
+      [&](int gi) {
+        add_value(se.gamma[gi].rhs_attr(), se.gamma[gi].rhs_value());
+      });
   for (size_t i = 0; i < se.gamma.size(); ++i) {
     if (applicable[i]) vm.applicable_cfds_.push_back(static_cast<int>(i));
   }

@@ -36,6 +36,38 @@ struct OrderAtom {
   }
 };
 
+/// The CFD reachability fixpoint (docs/ARCHITECTURE.md, "Semantic
+/// decisions"). Sweeps `gamma` in index order until a sweep changes
+/// nothing: a CFD not yet marked in `*applicable` whose every LHS constant
+/// satisfies `in_domain(attr, value)` is marked and handed to
+/// `on_applicable(gi)`, which must put its RHS constant into the domain —
+/// so one CFD's constant can make a later one reachable. VarMap::BuildFrom
+/// runs it over the build-time domains, Instantiation::ExtendWith over the
+/// domains plus a delta's pending values.
+template <typename InDomain, typename OnApplicable>
+void CfdReachabilityFixpoint(const std::vector<ConstantCfd>& gamma,
+                             std::vector<bool>* applicable,
+                             InDomain in_domain, OnApplicable on_applicable) {
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (size_t gi = 0; gi < gamma.size(); ++gi) {
+      if ((*applicable)[gi]) continue;
+      bool lhs_reachable = true;
+      for (const auto& [attr, c] : gamma[gi].lhs()) {
+        if (!in_domain(attr, c)) {
+          lhs_reachable = false;
+          break;
+        }
+      }
+      if (!lhs_reachable) continue;
+      (*applicable)[gi] = true;
+      changed = true;
+      on_applicable(static_cast<int>(gi));
+    }
+  }
+}
+
 /// \brief Per-attribute value domains and the dense atom ↔ variable map.
 ///
 /// Supports incremental growth: values appended after Build (new user

@@ -43,11 +43,11 @@ struct WalkSatResult {
 
 /// \brief Reusable buffers for the CNF-form RunWalkSat.
 ///
-/// Owned by SessionScratch (AcquireWalkSatScratch, the same pooling
-/// pattern as AcquireInstantiation) so repeated runs — the ablation bench
-/// loops over every entity — stop paying per-call occurrence-list and
-/// counter allocations. The occurrence index is a flat CSR layout, not a
-/// vector-of-vectors, so clearing it between runs is O(1) per buffer.
+/// The caller owns it and passes it to every run, so repeated runs — the
+/// ablation bench loops over every entity — stop paying per-call
+/// occurrence-list and counter allocations. The occurrence index is a flat
+/// CSR layout, not a vector-of-vectors, so clearing it between runs is
+/// O(1) per buffer.
 struct WalkSatScratch {
   std::vector<uint8_t> assign;     // per var
   std::vector<int> true_count;     // per clause
