@@ -4,8 +4,7 @@
 //       add the reversed order) vs strict mode (negative units only reduce
 //       the formula).
 //   A2. MaxClique exact branch-and-bound vs greedy heuristic in Suggest.
-//   A3. GetSug conflict repair: exact MaxSAT vs WalkSAT local search.
-//   A4. The CDCL solver on Φ(Se), against a pigeonhole contrast.
+//   A3. The CDCL solver on Φ(Se), against a pigeonhole contrast.
 
 #include "bench_util.h"
 
@@ -69,37 +68,8 @@ void AblateClique(const Dataset& ds) {
   }
 }
 
-void AblateMaxSat(const Dataset& ds) {
-  PrintHeader("A3 — MaxSAT exact vs WalkSAT on Φ(Se) instances");
-  double exact_ms = 0, walk_ms = 0;
-  int exact_sat = 0, walk_sat = 0, n = 0;
-  maxsat::WalkSatScratch scratch;  // pools the buffers across entities
-  for (size_t i = 0; i < ds.entities.size() && n < 12; ++i, ++n) {
-    const Specification se = ds.MakeSpec(static_cast<int>(i));
-    auto inst = Instantiation::Build(se);
-    CCR_CHECK(inst.ok());
-    const sat::Cnf phi = BuildCnf(*inst);
-    Timer t;
-    sat::Solver solver;
-    solver.AddCnf(phi);
-    exact_sat += solver.Solve() == sat::SolveResult::kSat ? 1 : 0;
-    exact_ms += t.ElapsedMs();
-    t.Restart();
-    maxsat::WalkSatOptions wopts;
-    wopts.max_flips = 200000;
-    const auto wr = maxsat::RunWalkSat(phi, wopts, &scratch);
-    CCR_CHECK(wr.ok());
-    walk_sat += wr->satisfied ? 1 : 0;
-    walk_ms += t.ElapsedMs();
-  }
-  std::printf("  CDCL   : %8.1f ms, %d/%d satisfiable\n", exact_ms,
-              exact_sat, n);
-  std::printf("  WalkSAT: %8.1f ms, %d/%d satisfied (incomplete search)\n",
-              walk_ms, walk_sat, n);
-}
-
 void AblateSolverFeatures(const Dataset& ds) {
-  PrintHeader("A4 — SAT solver on Φ(Se)");
+  PrintHeader("A3 — SAT solver on Φ(Se)");
   double ms = 0;
   int64_t conflicts = 0;
   for (size_t i = 0; i < ds.entities.size(); ++i) {
@@ -159,7 +129,6 @@ int main() {
 
   AblateDeduceMode(person);
   AblateClique(person);
-  AblateMaxSat(nba);
   AblateSolverFeatures(nba);
   return 0;
 }

@@ -1,5 +1,5 @@
-// Deterministic pseudo-random number generation for data generators,
-// experiment harnesses and the WalkSAT local search.
+// Deterministic pseudo-random number generation for data generators and
+// experiment harnesses.
 //
 // We use xoshiro256** (Blackman & Vigna) seeded via splitmix64 so that every
 // dataset and experiment in this repository is reproducible from a single

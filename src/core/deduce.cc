@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/sat/order_domain.h"
 
 namespace ccr {
 
@@ -23,16 +24,14 @@ DeducedOrders MakeEmptyOrders(const VarMap& vm) {
   return od;
 }
 
-// Records a deduced literal into Od. Positive x_{a1 a2} adds a1 ≺ a2;
-// negative adds the reversed order when `paper_mode` is on (Fig. 5,
-// lines 6–7). Auxiliary variables (CFD guards) carry no order content and
-// are skipped. Insertion failures (cycles, possible only on invalid
-// specifications) are ignored — Od remains a partial order.
-void RecordLiteral(const VarMap& vm, sat::Lit lit, bool paper_mode,
+// Records a deduced order literal (`atom`, negated or not) into Od.
+// Positive x_{a1 a2} adds a1 ≺ a2; negative adds the reversed order when
+// `paper_mode` is on (Fig. 5, lines 6–7). Insertion failures (cycles,
+// possible only on invalid specifications) are ignored — Od remains a
+// partial order.
+void RecordLiteral(const OrderAtom& atom, bool negated, bool paper_mode,
                    DeducedOrders* od) {
-  if (!vm.IsOrderVar(lit.var())) return;
-  const OrderAtom atom = vm.Decode(lit.var());
-  if (!lit.negated()) {
+  if (!negated) {
     (void)od->per_attr[atom.attr].Add(atom.less, atom.more);
   } else if (paper_mode) {
     (void)od->per_attr[atom.attr].Add(atom.more, atom.less);
@@ -62,6 +61,7 @@ DeducedOrders DeduceOrder(const Instantiation& inst, const sat::Cnf& phi,
   std::vector<std::vector<int32_t>>& occur = s.occur;
   std::vector<sat::Lbool>& value = s.value;
   std::vector<sat::Lit>& queue = s.queue;
+  std::vector<sat::OrderState>& order_states = s.order_states;
   open_count.assign(n_clauses, 0);
   satisfied.assign(n_clauses, 0);
   if (occur.size() < static_cast<size_t>(2 * n_vars)) {
@@ -72,6 +72,11 @@ DeducedOrders DeduceOrder(const Instantiation& inst, const sat::Cnf& phi,
   for (std::vector<int32_t>& o : occur) o.clear();
   value.assign(n_vars, sat::Lbool::kUndef);
   queue.assign(assume.begin(), assume.end());
+  order_states.resize(phi.num_order_domains());
+  for (int k = 0; k < phi.num_order_domains(); ++k) {
+    order_states[k].Clear();
+    order_states[k].Grow(phi.order_domain(k).size());
+  }
 
   for (int c = 0; c < n_clauses; ++c) {
     auto lits = phi.clause(c);
@@ -88,15 +93,19 @@ DeducedOrders DeduceOrder(const Instantiation& inst, const sat::Cnf& phi,
     const sat::Lbool prior = value[l.var()];
     if (prior != sat::Lbool::kUndef) continue;  // already propagated
     value[l.var()] = l.negated() ? sat::Lbool::kFalse : sat::Lbool::kTrue;
-    RecordLiteral(vm, l, options.paper_negative_units, &od);
+    // Auxiliary variables (CFD guards) carry no order content.
+    const bool is_order = vm.IsOrderVar(l.var());
+    const OrderAtom atom = is_order ? vm.Decode(l.var()) : OrderAtom{};
+    if (is_order) {
+      RecordLiteral(atom, l.negated(), options.paper_negative_units, &od);
 
-    // Totality: ¬(a1 ≺ a2) entails a2 ≺ a1 in every completion; assert
-    // the reversed atom so contrapositive chains keep propagating.
-    if (l.negated() && options.paper_negative_units &&
-        options.totality_propagation && vm.IsOrderVar(l.var())) {
-      const OrderAtom atom = vm.Decode(l.var());
-      queue.push_back(
-          sat::Lit::Pos(vm.VarOf(atom.attr, atom.more, atom.less)));
+      // Totality: ¬(a1 ≺ a2) entails a2 ≺ a1 in every completion; assert
+      // the reversed atom so contrapositive chains keep propagating.
+      if (l.negated() && options.paper_negative_units &&
+          options.totality_propagation) {
+        queue.push_back(
+            sat::Lit::Pos(vm.VarOf(atom.attr, atom.more, atom.less)));
+      }
     }
 
     // Clauses containing l are satisfied.
@@ -114,6 +123,21 @@ DeducedOrders DeduceOrder(const Instantiation& inst, const sat::Cnf& phi,
       }
       // open_count 0 means a conflict: the specification was invalid.
       // Nothing further can be soundly deduced from this clause.
+    }
+
+    // The order axioms of l's domain, by the rules the solver runs.
+    if (is_order && atom.attr < phi.num_order_domains()) {
+      const sat::OrderDomain& dom = phi.order_domain(atom.attr);
+      if (atom.less < dom.size() && atom.more < dom.size()) {
+        CCR_DCHECK(dom.VarOf(atom.less, atom.more) == l.var());
+        sat::OrderState& state = order_states[atom.attr];
+        state.Assign(atom.less, atom.more, !l.negated());
+        sat::PropagateOrderLit(
+            dom, state, atom.less, atom.more, !l.negated(),
+            [&queue](sat::Lit q, sat::Lit) { queue.push_back(q); },
+            // A conflict, as above, means an invalid specification.
+            [](sat::Lit, sat::Lit) { return true; });
+      }
     }
   }
   return od;

@@ -2,7 +2,11 @@
 //
 // DeduceOrder runs unit propagation over Φ(Se): every one-literal clause
 // is recorded into the deduced temporal order Od and used to reduce the
-// formula, in O(|Φ(Se)|) total time. NaiveDeduce instead asks the SAT
+// formula. Φ's clauses propagate through occurrence lists; its order
+// axioms, which the CNF carries as order domains instead of O(d³)
+// clauses, propagate through the rule set of src/sat/order_domain.h —
+// the one the solver runs — so the units are those of unit propagation
+// over the written-out axioms. NaiveDeduce instead asks the SAT
 // solver, for every order variable x, whether Φ(Se) ∧ ¬x is unsatisfiable
 // — sound and complete for implied orders (Lemma 6) but, queried one
 // pair at a time, O(d²) solver calls per attribute (Fig. 8(b)).
@@ -59,7 +63,7 @@ struct DeduceOptions {
 
 /// Reusable buffers for DeduceOrder's counter-based unit propagation.
 /// One instance per session (pooled through SessionScratch) stops the
-/// five per-call allocations from re-growing every round on every
+/// per-call allocations from re-growing every round on every
 /// entity; a default-constructed local works identically for one-shot
 /// callers.
 struct DeduceScratch {
@@ -68,10 +72,12 @@ struct DeduceScratch {
   std::vector<std::vector<int32_t>> occur;
   std::vector<sat::Lbool> value;
   std::vector<sat::Lit> queue;
+  std::vector<sat::OrderState> order_states;  // per order domain
 };
 
-/// Algorithm DeduceOrder (Fig. 5): unit propagation over `phi`.
-/// `phi` must be the CNF built from `inst` (variable ids must agree).
+/// Algorithm DeduceOrder (Fig. 5): unit propagation over `phi`'s clauses
+/// and order-domain axioms. `phi` must be the CNF built from `inst`
+/// (variable ids must agree; order domain k is attribute k's domain).
 /// `assume` literals are seeded as established facts before propagation —
 /// the guarded session passes its active CFD guards, which re-arms the
 /// guarded rule clauses exactly as if they were emitted unguarded.

@@ -101,7 +101,7 @@ Dataset GeneratePerson(const PersonOptions& options) {
     const int s = static_cast<int>(
         rng.Range(options.min_tuples, options.max_tuples));
     // The hidden history grows with the instance, capped so the value
-    // domains (and the O(d^3) transitivity encoding) stay bounded.
+    // domains (and the order variables over them) stay bounded.
     const int versions = std::clamp(4 + s / 8, 4, 30);
 
     // Start low enough in the chains that gap steps never overflow.

@@ -1,6 +1,5 @@
 #include "src/encode/cnf_builder.h"
 
-#include <algorithm>
 #include <vector>
 
 namespace ccr {
@@ -36,9 +35,7 @@ sat::Cnf BuildCnf(const Instantiation& inst) {
 
 void BuildCnfInto(const Instantiation& inst, sat::Cnf* out) {
   out->Clear();
-  InstantiationDelta from_empty;
-  from_empty.old_domain_sizes.assign(inst.varmap.num_attrs(), 0);
-  ExtendCnf(inst, from_empty, out);
+  ExtendCnf(inst, InstantiationDelta{}, out);
 }
 
 void ExtendCnf(const Instantiation& inst, const InstantiationDelta& delta,
@@ -60,32 +57,20 @@ void ExtendCnf(const Instantiation& inst, const InstantiationDelta& delta,
     AddConstraintClause(vm, inst.constraints[c], &clause, cnf);
   }
 
-  // Structural axioms for atom pairs/triples touching a new domain value.
-  // Costs O(d^2 · Δ) per grown attribute instead of the O(d^3) rebuild;
-  // from empty domains (BuildCnfInto) the same loops emit the full set.
+  // The values each attribute gained join its order domain. Their
+  // asymmetry and transitivity axioms are not emitted: the solver's order
+  // propagator and DeduceOrder enforce them from the domain's variables.
+  cnf->EnsureOrderDomains(vm.num_attrs());
+  std::vector<sat::Var> value_vars;
   for (int a = 0; a < vm.num_attrs(); ++a) {
-    const int d0 = delta.old_domain_sizes[a];
     const int d = static_cast<int>(vm.domain(a).size());
-    if (d == d0) continue;
-    for (int i = 0; i < d; ++i) {
-      for (int j = std::max(i + 1, d0); j < d; ++j) {
-        cnf->AddBinary(sat::Lit::Neg(vm.VarOf(a, i, j)),
-                       sat::Lit::Neg(vm.VarOf(a, j, i)));
+    for (int n = cnf->order_domain(a).size(); n < d; ++n) {
+      value_vars.clear();
+      for (int i = 0; i < n; ++i) {
+        value_vars.push_back(vm.VarOf(a, i, n));
+        value_vars.push_back(vm.VarOf(a, n, i));
       }
-    }
-    for (int i = 0; i < d; ++i) {
-      for (int j = 0; j < d; ++j) {
-        if (j == i) continue;
-        // Old (i, j) pairs only need the new k range; any pair touching
-        // a new value needs every k.
-        const int k_begin = (i < d0 && j < d0) ? d0 : 0;
-        for (int k = k_begin; k < d; ++k) {
-          if (k == i || k == j) continue;
-          cnf->AddTernary(sat::Lit::Neg(vm.VarOf(a, i, j)),
-                          sat::Lit::Neg(vm.VarOf(a, j, k)),
-                          sat::Lit::Pos(vm.VarOf(a, i, k)));
-        }
-      }
+      cnf->AppendOrderValue(a, value_vars);
     }
   }
 }

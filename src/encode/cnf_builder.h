@@ -1,8 +1,10 @@
 // ConvertToCNF: Φ(Se) from Ω(Se) (§V-A).
 //
 // Every materialized ground constraint (b1 ∧ ... ∧ bk → h) becomes
-// the clause (¬b1 ∨ ... ∨ ¬bk ∨ h); transitivity and asymmetry of ≺^v_A
-// are streamed straight into the CNF from the domains. By Lemma 5 of the
+// the clause (¬b1 ∨ ... ∨ ¬bk ∨ h). Transitivity and asymmetry of ≺^v_A
+// are not written out: each attribute's value pairs become the CNF's
+// order domain for that attribute (src/sat/order_domain.h), whose axioms
+// the solver and DeduceOrder enforce by propagation. By Lemma 5 of the
 // paper, Se is valid iff Φ(Se) is satisfiable (a consistent strict partial
 // order always extends to a total order).
 
@@ -24,13 +26,12 @@ sat::Cnf BuildCnf(const Instantiation& inst);
 /// domain grew from size 0.
 void BuildCnfInto(const Instantiation& inst, sat::Cnf* cnf);
 
-/// Appends to `cnf` exactly the clauses Φ(Se ⊕ Ot) gains from an
+/// Appends to `cnf` exactly what Φ(Se ⊕ Ot) gains from an
 /// Instantiation::ExtendWith call: one unit per retired CFD guard
 /// (guarded grounding — deactivates the stale rule version), one clause
-/// per new ground constraint, plus the asymmetry/transitivity axioms for
-/// atom pairs/triples that touch a newly added domain value. `cnf` must be
-/// the formula previously built (and possibly already extended) from
-/// `inst`.
+/// per new ground constraint, and every newly added domain value to its
+/// attribute's order domain. `cnf` must be the formula previously built
+/// (and possibly already extended) from `inst`.
 void ExtendCnf(const Instantiation& inst, const InstantiationDelta& delta,
                sat::Cnf* cnf);
 

@@ -379,11 +379,10 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
 
   // --- apply --------------------------------------------------------------
   out.first_new_constraint = static_cast<int>(constraints.size());
-  out.old_num_vars = varmap.num_vars();
-  out.old_domain_sizes.resize(n_attrs);
+  // Domain sizes before the extension: new values have indices past them.
+  std::vector<int> old_domain_sizes(n_attrs);
   for (int a = 0; a < n_attrs; ++a) {
-    out.old_domain_sizes[a] =
-        static_cast<int>(varmap.domain(a).size());
+    old_domain_sizes[a] = static_cast<int>(varmap.domain(a).size());
   }
 
   for (const auto& p : pending) {
@@ -440,7 +439,7 @@ Result<InstantiationDelta> Instantiation::ExtendWith(
     GroundCfd(static_cast<int>(gi), extended_se,
               is_retired
                   ? 0
-                  : out.old_domain_sizes[extended_se.gamma[gi].rhs_attr()]);
+                  : old_domain_sizes[extended_se.gamma[gi].rhs_attr()]);
   }
   for (int gi : newly_applicable) {
     GroundCfd(gi, extended_se, /*first_b=*/0);

@@ -8,8 +8,10 @@
 //   (3)  constant CFDs expanded per competing value b.
 // Families (2), (3) and (1a) are materialized here — they carry the
 // provenance that TrueDer (§V-C) partitions into derivation rules.
-// Families (1b)/(1c) are pure functions of the domains and are streamed
-// directly into the CNF by cnf_builder.h, never stored.
+// Families (1b)/(1c) are pure functions of the domains and are never
+// written out as clauses: cnf_builder.h hands each attribute's domain to
+// the CNF as an order domain, and the solver and DeduceOrder enforce the
+// two families by propagation (src/sat/order_domain.h).
 //
 // Grounding deduplicates tuple pairs by their projection onto the
 // attributes a constraint mentions, so the cost is bounded by distinct
@@ -122,11 +124,6 @@ struct InstantiationDelta {
   bool needs_rebuild = false;
   /// Constraints [first_new_constraint, constraints.size()) are new.
   int first_new_constraint = 0;
-  /// Per-attribute domain sizes before the extension (new values have
-  /// indices past these).
-  std::vector<int> old_domain_sizes;
-  /// Variable count before the extension.
-  int old_num_vars = 0;
   /// Guards of CFD versions invalidated by this delta (their LHS domain
   /// grew). ExtendCnf asserts each one off with a permanent unit clause;
   /// the re-grounded replacement rules are among the new constraints.

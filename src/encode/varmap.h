@@ -7,7 +7,7 @@
 // added by a reachability fixpoint: a CFD is *applicable* when every LHS
 // constant is already in its attribute's domain, and an applicable CFD
 // adds its RHS constant. CFDs that can never fire on this entity are
-// dropped, which keeps the domain — and the O(d^3) transitivity encoding —
+// dropped, which keeps the domain — and its O(d^2) order variables —
 // proportional to the entity instead of to |Γ| (the paper's 1000-pattern
 // CFD sets would otherwise blow up the CNF).
 

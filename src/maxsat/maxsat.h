@@ -7,9 +7,7 @@
 // engine is IncrementalMaxSat: relaxation plus a Sinz sequential-counter
 // linear search run *in place* on a caller-owned CDCL solver under
 // assumptions, with every auxiliary variable confined to a released scope.
-// SolveMaxSat is the one-shot convenience built on top of it;
-// maxsat/walksat.h offers the paper-faithful stochastic local search
-// alternative.
+// SolveMaxSat is the one-shot convenience built on top of it.
 
 #ifndef CCR_MAXSAT_MAXSAT_H_
 #define CCR_MAXSAT_MAXSAT_H_

@@ -1,5 +1,7 @@
 #include "src/sat/dimacs.h"
 
+#include <cstdint>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -7,16 +9,55 @@
 
 namespace ccr::sat {
 
+namespace {
+
+void AppendClause(std::span<const Lit> lits, std::string* out) {
+  for (Lit l : lits) {
+    const int signed_var = (l.var() + 1) * (l.negated() ? -1 : 1);
+    *out += std::to_string(signed_var);
+    *out += " ";
+  }
+  *out += "0\n";
+}
+
+}  // namespace
+
 std::string ToDimacs(const Cnf& cnf) {
+  // The order domains' axioms are written out as clauses after the
+  // formula's own: asymmetry per unordered pair, then transitivity per
+  // ordered triple of distinct values.
+  int64_t axioms = 0;
+  for (int di = 0; di < cnf.num_order_domains(); ++di) {
+    const int64_t d = cnf.order_domain(di).size();
+    axioms += d * (d - 1) / 2 + d * (d - 1) * (d - 2);
+  }
   std::string out = "p cnf " + std::to_string(cnf.num_vars()) + " " +
-                    std::to_string(cnf.num_clauses()) + "\n";
-  for (int i = 0; i < cnf.num_clauses(); ++i) {
-    for (Lit l : cnf.clause(i)) {
-      const int signed_var = (l.var() + 1) * (l.negated() ? -1 : 1);
-      out += std::to_string(signed_var);
-      out += " ";
+                    std::to_string(cnf.num_clauses() + axioms) + "\n";
+  for (int c = 0; c < cnf.num_clauses(); ++c) {
+    AppendClause(cnf.clause(c), &out);
+  }
+  for (int di = 0; di < cnf.num_order_domains(); ++di) {
+    const OrderDomain& dom = cnf.order_domain(di);
+    const int d = dom.size();
+    for (int i = 0; i < d; ++i) {
+      for (int j = i + 1; j < d; ++j) {
+        const Lit asymmetry[] = {Lit::Neg(dom.VarOf(i, j)),
+                                 Lit::Neg(dom.VarOf(j, i))};
+        AppendClause(asymmetry, &out);
+      }
     }
-    out += "0\n";
+    for (int i = 0; i < d; ++i) {
+      for (int j = 0; j < d; ++j) {
+        if (j == i) continue;
+        for (int k = 0; k < d; ++k) {
+          if (k == i || k == j) continue;
+          const Lit transitivity[] = {Lit::Neg(dom.VarOf(i, j)),
+                                      Lit::Neg(dom.VarOf(j, k)),
+                                      Lit::Pos(dom.VarOf(i, k))};
+          AppendClause(transitivity, &out);
+        }
+      }
+    }
   }
   return out;
 }

@@ -64,6 +64,8 @@ Var Solver::NewVar() {
   frozen_.push_back(0);
   level_.push_back(0);
   reason_.push_back(kRefUndef);
+  order_slot_.emplace_back();
+  order_reason_.push_back({kLitUndef, kLitUndef});
   activity_.push_back(0.0);
   heap_pos_.push_back(-1);
   seen_.push_back(0);
@@ -93,6 +95,11 @@ void Solver::Reset(SolverOptions options) {
   for (std::vector<Lit>& bs : bins_) bs.clear();
   learnt_binaries_.clear();
   bin_conflict_[0] = bin_conflict_[1] = kLitUndef;
+  order_domains_.clear();
+  order_states_.clear();
+  order_slot_.clear();
+  order_reason_.clear();
+  order_conflict_[0] = order_conflict_[1] = order_conflict_[2] = kLitUndef;
   assigns_.clear();
   polarity_.clear();
   frozen_.clear();
@@ -207,6 +214,7 @@ bool Solver::AddClause(std::vector<Lit> lits) {
 
 void Solver::AddCnfFrom(const Cnf& cnf, int first_clause) {
   while (num_vars() < cnf.num_vars()) NewVar();
+  SyncOrderDomains(cnf);
   std::vector<Lit> scratch;
   for (int i = first_clause; i < cnf.num_clauses(); ++i) {
     auto span = cnf.clause(i);
@@ -216,12 +224,56 @@ void Solver::AddCnfFrom(const Cnf& cnf, int first_clause) {
   }
 }
 
+void Solver::SyncOrderDomains(const Cnf& cnf) {
+  CCR_DCHECK(DecisionLevel() == 0);
+  if (static_cast<int>(order_domains_.size()) < cnf.num_order_domains()) {
+    order_domains_.resize(cnf.num_order_domains());
+    order_states_.resize(cnf.num_order_domains());
+  }
+  bool grew = false;
+  bool assigned = false;
+  for (int k = 0; k < cnf.num_order_domains(); ++k) {
+    const OrderDomain& from = cnf.order_domain(k);
+    OrderDomain& to = order_domains_[k];
+    OrderState& state = order_states_[k];
+    if (to.size() == from.size()) continue;
+    state.Grow(from.size());
+    for (int n = to.size(); n < from.size(); ++n) {
+      const std::span<const Var> vars = from.ValueVars(n);
+      to.AppendValue(vars);
+      for (int i = 0; i < n; ++i) {
+        order_slot_[vars[2 * i]] = {k, i, n};
+        order_slot_[vars[2 * i + 1]] = {k, n, i};
+      }
+      for (Var v : vars) {
+        if (assigns_[v] == Lbool::kUndef) continue;
+        const OrderSlot& s = order_slot_[v];
+        state.Assign(s.a, s.b, assigns_[v] == Lbool::kTrue);
+        assigned = true;
+      }
+    }
+    grew = true;
+  }
+  // A growing domain adds axioms, as a new clause would: cached models
+  // may violate them.
+  if (grew) InvalidateModelCache();
+  // Values arrive over fresh variables, so the level-0 trail implies
+  // nothing new through them. A caller that assigned one first gets the
+  // trail re-propagated against the grown domains.
+  if (assigned && ok_) {
+    qhead_ = bhead_ = 0;
+    ok_ = Propagate() == kRefUndef;
+  }
+}
+
 void Solver::UncheckedEnqueue(Lit p, ClauseRef from) {
   CCR_DCHECK(ValueOf(p) == Lbool::kUndef);
   assigns_[p.var()] = p.negated() ? Lbool::kFalse : Lbool::kTrue;
   level_[p.var()] = DecisionLevel();
   reason_[p.var()] = from;
   trail_.push_back(p);
+  const OrderSlot& s = order_slot_[p.var()];
+  if (s.dom >= 0) order_states_[s.dom].Assign(s.a, s.b, !p.negated());
 }
 
 Solver::ClauseRef Solver::Propagate() {
@@ -292,8 +344,51 @@ Solver::ClauseRef Solver::Propagate() {
     }
     ws.resize(j);
     if (conflict != kRefUndef) break;
+    if (order_slot_[p.var()].dom >= 0 && !PropagateOrder(p)) {
+      conflict = kRefOrderConflict;
+      qhead_ = bhead_ = trail_.size();
+      break;
+    }
   }
   return conflict;
+}
+
+bool Solver::PropagateOrder(Lit p) {
+  const OrderSlot s = order_slot_[p.var()];
+  return PropagateOrderLit(
+      order_domains_[s.dom], order_states_[s.dom], s.a, s.b, !p.negated(),
+      [this, p](Lit q, Lit other) {
+        order_reason_[q.var()] = {~p, other};
+        UncheckedEnqueue(q, kRefOrderReason);
+      },
+      [this, p](Lit u, Lit w) {
+        order_conflict_[0] = ~p;
+        order_conflict_[1] = u;
+        order_conflict_[2] = w;
+        return false;
+      });
+}
+
+std::span<const Lit> Solver::ReasonClause(ClauseRef r, Lit p,
+                                          Lit (&buf)[3]) const {
+  if (RefIsArena(r)) {
+    return std::span<const Lit>(ClauseLits(r), ClauseSize(r));
+  }
+  if (r == kRefBinConflict) return std::span<const Lit>(bin_conflict_, 2);
+  if (r == kRefOrderConflict) {
+    return std::span<const Lit>(order_conflict_,
+                                order_conflict_[2] == kLitUndef ? 2 : 3);
+  }
+  buf[0] = p;
+  if (r == kRefOrderReason) {
+    const std::array<Lit, 2>& ante = order_reason_[p.var()];
+    buf[1] = ante[0];
+    buf[2] = ante[1];
+    return std::span<const Lit>(buf, ante[1] == kLitUndef ? 2 : 3);
+  }
+  CCR_DCHECK(RefIsBinary(r));
+  buf[1] = RefLit(r);
+  return std::span<const Lit>(buf, 2);
 }
 
 void Solver::VarBump(Var v) {
@@ -325,28 +420,13 @@ void Solver::Analyze(ClauseRef conflict, std::vector<Lit>* out_learnt,
   size_t index = trail_.size();
 
   ClauseRef c = conflict;
+  Lit buf[3];
   do {
     CCR_DCHECK(c != kRefUndef);
-    Lit bin_buf[2];
-    const Lit* lits;
-    int size;
-    if (c == kRefBinConflict) {
-      bin_buf[0] = bin_conflict_[0];
-      bin_buf[1] = bin_conflict_[1];
-      lits = bin_buf;
-      size = 2;
-    } else if (RefIsBinary(c)) {
-      // Reason clause of p is (p ∨ other); position 0 mirrors the arena
-      // invariant that lits[0] is the asserting literal.
-      bin_buf[0] = p;
-      bin_buf[1] = RefLit(c);
-      lits = bin_buf;
-      size = 2;
-    } else {
-      if (ClauseLearnt(c)) ClauseBump(c);
-      lits = ClauseLits(c);
-      size = ClauseSize(c);
-    }
+    if (RefIsArena(c) && ClauseLearnt(c)) ClauseBump(c);
+    // Position 0 of a reason is the literal it implied (p).
+    const std::span<const Lit> lits = ReasonClause(c, p, buf);
+    const int size = static_cast<int>(lits.size());
     for (int k = (p == kLitUndef) ? 0 : 1; k < size; ++k) {
       const Lit q = lits[k];
       const Var v = q.var();
@@ -385,19 +465,13 @@ void Solver::Analyze(ClauseRef conflict, std::vector<Lit>* out_learnt,
     const ClauseRef r = reason_[v];
     bool redundant = false;
     if (r != kRefUndef) {
-      if (RefIsBinary(r)) {
-        const Lit other = RefLit(r);
-        redundant = seen_[other.var()] || level_[other.var()] == 0;
-      } else {
-        redundant = true;
-        const Lit* rl = ClauseLits(r);
-        const int rs = ClauseSize(r);
-        for (int m = 1; m < rs; ++m) {
-          const Var w = rl[m].var();
-          if (!seen_[w] && level_[w] > 0) {
-            redundant = false;
-            break;
-          }
+      redundant = true;
+      const std::span<const Lit> rl = ReasonClause(r, ~learnt[k], buf);
+      for (size_t m = 1; m < rl.size(); ++m) {
+        const Var w = rl[m].var();
+        if (!seen_[w] && level_[w] > 0) {
+          redundant = false;
+          break;
         }
       }
     }
@@ -434,13 +508,10 @@ void Solver::AnalyzeFinal(Lit p, std::vector<Lit>* out_core) {
     const ClauseRef r = reason_[v];
     if (r == kRefUndef) {
       if (level_[v] > 0) out_core->push_back(~trail_[i]);
-    } else if (RefIsBinary(r)) {
-      const Lit other = RefLit(r);
-      if (level_[other.var()] > 0) seen_[other.var()] = 1;
     } else {
-      const Lit* lits = ClauseLits(r);
-      const int size = ClauseSize(r);
-      for (int k = 1; k < size; ++k) {
+      Lit buf[3];
+      const std::span<const Lit> lits = ReasonClause(r, trail_[i], buf);
+      for (size_t k = 1; k < lits.size(); ++k) {
         if (level_[lits[k].var()] > 0) seen_[lits[k].var()] = 1;
       }
     }
@@ -457,6 +528,8 @@ void Solver::CancelUntil(int target) {
     assigns_[v] = Lbool::kUndef;
     polarity_[v] = trail_[i].negated();
     reason_[v] = kRefUndef;
+    const OrderSlot& s = order_slot_[v];
+    if (s.dom >= 0) order_states_[s.dom].Unassign(s.a, s.b);
     if (heap_pos_[v] < 0) HeapInsert(v);
   }
   trail_.resize(trail_lim_[target]);
@@ -911,6 +984,30 @@ bool Solver::SatisfiesLive(const std::vector<Lbool>& m) const {
       }
     }
   }
+  // Every order axiom has a negative literal ¬x_ab, so a violated one
+  // shows up among the clauses the rules visit for some true x_ab. `m` is
+  // total, so the rules can only find conflicts, never units.
+  OrderState state;
+  for (const OrderDomain& dom : order_domains_) {
+    const int d = dom.size();
+    state.Clear();
+    state.Grow(d);
+    for (int a = 0; a < d; ++a) {
+      for (int b = 0; b < d; ++b) {
+        if (a != b) state.Assign(a, b, m[dom.VarOf(a, b)] == Lbool::kTrue);
+      }
+    }
+    for (int a = 0; a < d; ++a) {
+      for (int b = 0; b < d; ++b) {
+        if (a == b || m[dom.VarOf(a, b)] != Lbool::kTrue) continue;
+        if (!PropagateOrderLit(dom, state, a, b, /*x_ab=*/true,
+                               [](Lit, Lit) {},
+                               [](Lit, Lit) { return false; })) {
+          return false;
+        }
+      }
+    }
+  }
   return true;
 }
 
@@ -1121,7 +1218,7 @@ void Solver::GarbageCollect() {
   }
   for (Var v = 0; v < num_vars(); ++v) {
     const ClauseRef r = reason_[v];
-    if (r == kRefUndef || r == kRefBinConflict || RefIsBinary(r)) continue;
+    if (!RefIsArena(r)) continue;
     if (arena_[r] == kMovedHeader) {
       reason_[v] = arena_[r + 1];
     } else {

@@ -4,8 +4,11 @@
 // IsValid uses to decide whether a specification Se has a valid completion.
 // It runs one search policy, the textbook MiniSat core: two-watched-literal
 // propagation with a dedicated implicit watch list for binary clauses
-// (binaries never touch the clause arena — the currency-order and CFD
-// encodings are dominated by binary implications), 1-UIP conflict analysis
+// (binaries never touch the clause arena — the rule and CFD encodings
+// are dominated by binary implications), a strict-partial-order
+// propagator for the Cnf's order domains (the asymmetry and transitivity
+// axioms of Φ(Se), enforced by the rules of src/sat/order_domain.h with
+// lazily built reasons instead of O(d³) clauses), 1-UIP conflict analysis
 // with one-step conflict-clause minimization, VSIDS decision ordering,
 // phase saving, Luby restarts, and one activity-sorted learnt database
 // halved whenever it outgrows its budget, with incremental solving under
@@ -21,6 +24,7 @@
 #ifndef CCR_SAT_SOLVER_H_
 #define CCR_SAT_SOLVER_H_
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -32,6 +36,7 @@
 #include "src/common/status.h"
 #include "src/sat/cnf.h"
 #include "src/sat/literal.h"
+#include "src/sat/order_domain.h"
 
 namespace ccr::sat {
 
@@ -233,10 +238,13 @@ class Solver {
   /// unsatisfiable state (empty clause derived at level 0).
   bool AddClause(std::vector<Lit> lits);
 
-  /// Adds every clause of `cnf`, growing the variable universe as needed.
+  /// Adds every clause and order domain of `cnf`, growing the variable
+  /// universe as needed.
   void AddCnf(const Cnf& cnf) { AddCnfFrom(cnf, 0); }
 
-  /// Adds the clauses of `cnf` starting at index `first_clause`. Used by
+  /// Adds the clauses of `cnf` starting at index `first_clause`, and
+  /// syncs the order propagator with `cnf`'s order domains: values the
+  /// solver has not seen yet are appended to its copy of domain k. Used by
   /// callers that keep one solver alive while their CNF grows append-only
   /// (the ResolutionSession pipeline): only the new suffix is fed.
   void AddCnfFrom(const Cnf& cnf, int first_clause);
@@ -261,8 +269,9 @@ class Solver {
   bool ModelValue(Var v) const { return model_[v] == Lbool::kTrue; }
   Lbool ModelLbool(Var v) const { return model_[v]; }
 
-  /// After kUnsat under assumptions: a subset of the assumptions that is
-  /// already jointly inconsistent with the clauses (an unsat "core").
+  /// After kUnsat under assumptions: the negations of a subset of the
+  /// assumptions that is already jointly inconsistent with the clauses
+  /// (an unsat "core", as the clause the formula implies).
   const std::vector<Lit>& FailedAssumptions() const { return conflict_core_; }
 
   const SolverStats& stats() const { return stats_; }
@@ -297,7 +306,8 @@ class Solver {
 
   /// Saved-phase check. Takes the level-0 trail, `assumptions`, and the
   /// saved phase of every other variable, and evaluates that assignment
-  /// against every live problem clause and binary. If it is a model, it
+  /// against every live problem clause, every binary and every order
+  /// domain's axioms. If it is a model, it
   /// is pushed into the cached-model ring (when use_model_cache is on)
   /// and counted in sls_seeded_models. Returns whether it was a model.
   /// Never flips a variable and never writes a saved phase, so it cannot
@@ -407,15 +417,21 @@ class Solver {
   // Reason encoding: a reason is either an arena reference (< 2^31 —
   // checked at allocation), the literal-encoded reason of a binary
   // implication (bit 31 set, low bits the OTHER, false literal of the
-  // binary clause), kRefBinConflict (a binary conflict, the two literals
-  // in bin_conflict_), or kRefUndef.
+  // binary clause), kRefOrderReason (an order-propagator implication,
+  // its false antecedents in order_reason_), kRefBinConflict (a binary
+  // conflict, the two literals in bin_conflict_), kRefOrderConflict (an
+  // order-axiom conflict, its literals in order_conflict_), or kRefUndef.
+  // ReasonClause reads every kind.
   using ClauseRef = uint32_t;
   static constexpr ClauseRef kRefUndef = UINT32_MAX;
   static constexpr ClauseRef kRefBinConflict = UINT32_MAX - 1;
+  static constexpr ClauseRef kRefOrderConflict = UINT32_MAX - 2;
+  static constexpr ClauseRef kRefOrderReason = UINT32_MAX - 3;
   static constexpr ClauseRef kRefBinaryFlag = 0x80000000u;
 
+  static bool RefIsArena(ClauseRef r) { return r < kRefBinaryFlag; }
   static bool RefIsBinary(ClauseRef r) {
-    return r >= kRefBinaryFlag && r < kRefBinConflict;
+    return r >= kRefBinaryFlag && r < kRefOrderReason;
   }
   static ClauseRef MakeBinaryRef(Lit other) {
     return kRefBinaryFlag | static_cast<uint32_t>(other.index());
@@ -473,6 +489,13 @@ class Solver {
   SolveResult Search(int64_t conflict_budget,
                      std::span<const Lit> assumptions);
   ClauseRef Propagate();
+  // Runs the order rules for trail literal `p` on an order variable;
+  // false on a conflict (left in order_conflict_).
+  bool PropagateOrder(Lit p);
+  // The clause behind reason or conflict `r`: arena clauses in place, the
+  // other kinds materialized into `buf`. For the reason of p's variable,
+  // element 0 is p, the literal it implied.
+  std::span<const Lit> ReasonClause(ClauseRef r, Lit p, Lit (&buf)[3]) const;
   void Analyze(ClauseRef conflict, std::vector<Lit>* out_learnt,
                int* out_btlevel);
   void AnalyzeFinal(Lit p, std::vector<Lit>* out_core);
@@ -518,8 +541,11 @@ class Solver {
   void CacheCurrentModel();
   // Stores `m` in the ring, overwriting the oldest entry once it is full.
   void PushWitness(std::vector<Lbool> m);
-  // Does `m` satisfy every live problem clause and every binary?
+  // Does `m` satisfy every live problem clause, every binary and every
+  // order domain's axioms?
   bool SatisfiesLive(const std::vector<Lbool>& m) const;
+  // Appends the values of `cnf`'s order domains this solver lacks.
+  void SyncOrderDomains(const Cnf& cnf);
 
   // --- inprocessing ----------------------------------------------------
   void VivificationPass();
@@ -559,6 +585,24 @@ class Solver {
   // after a sweep prunes its entries).
   std::vector<std::pair<Lit, Lit>> learnt_binaries_;
   Lit bin_conflict_[2] = {kLitUndef, kLitUndef};
+
+  // Order propagator: the synced order domains and their current values
+  // (kept in step with assigns_ by UncheckedEnqueue and CancelUntil),
+  // each order variable's (domain, a, b) for x_ab (dom -1 for every
+  // other variable), the antecedents of order-implied literals (the
+  // implied literal's reason clause minus itself; the second is kLitUndef
+  // for asymmetry), and the literals of the last order conflict (third
+  // kLitUndef for asymmetry).
+  struct OrderSlot {
+    int32_t dom = -1;
+    int32_t a = 0;
+    int32_t b = 0;
+  };
+  std::vector<OrderDomain> order_domains_;
+  std::vector<OrderState> order_states_;
+  std::vector<OrderSlot> order_slot_;                // per var
+  std::vector<std::array<Lit, 2>> order_reason_;     // per var
+  Lit order_conflict_[3] = {kLitUndef, kLitUndef, kLitUndef};
 
   std::vector<Lbool> assigns_;                 // per var
   std::vector<bool> polarity_;                 // saved phases

@@ -332,26 +332,6 @@ TEST_F(InstantiationTest, ExtendWithMatchesBuildOnSharedAttributeSets) {
   EXPECT_EQ(extended_rules, SigmaRules(*rebuilt));
 }
 
-TEST(CnfBuilderTest, StructuralAxiomCounts) {
-  const Specification se = EdithSpec();
-  auto inst = Instantiation::Build(se);
-  ASSERT_TRUE(inst.ok());
-  const VarMap& vm = inst->varmap;
-  const sat::Cnf phi = BuildCnf(*inst);
-
-  // One clause per ground constraint; the rest are the axioms.
-  int64_t expected_axioms = 0;
-  for (int a = 0; a < vm.num_attrs(); ++a) {
-    const int64_t d = static_cast<int64_t>(vm.domain(a).size());
-    expected_axioms += d * (d - 1) / 2;        // asymmetry
-    expected_axioms += d * (d - 1) * (d - 2);  // transitivity
-  }
-  EXPECT_GT(expected_axioms, 0);
-  const int64_t n_constraints = static_cast<int64_t>(inst->constraints.size());
-  EXPECT_EQ(phi.num_clauses() - n_constraints, expected_axioms);
-  EXPECT_EQ(phi.num_vars(), vm.num_vars());
-}
-
 TEST(CnfBuilderTest, NullHeadSemantics) {
   // A rule whose head orders a value before a null (the more-current
   // tuple's email is missing): vacuous by default, a contradiction under
@@ -409,6 +389,56 @@ Specification GuardSpec() {
       std::vector<std::pair<int, Value>>{{0, Value::Str("a1")}}, 1,
       Value::Str("b1"));
   return se;
+}
+
+// Φ(Se) holds one clause per ground constraint plus one unit per retired
+// CFD guard, and no axiom clauses: each attribute's domain is the CNF's
+// order domain, over exactly the VarMap's atom variables.
+void ExpectOrderDomainsMatch(const Instantiation& inst, const sat::Cnf& cnf,
+                             int64_t retired_guard_units) {
+  const VarMap& vm = inst.varmap;
+  EXPECT_EQ(cnf.num_clauses(),
+            static_cast<int64_t>(inst.constraints.size()) +
+                retired_guard_units);
+  ASSERT_EQ(cnf.num_order_domains(), vm.num_attrs());
+  for (int a = 0; a < vm.num_attrs(); ++a) {
+    const sat::OrderDomain& dom = cnf.order_domain(a);
+    const int d = static_cast<int>(vm.domain(a).size());
+    ASSERT_EQ(dom.size(), d) << "attr " << a;
+    for (int i = 0; i < d; ++i) {
+      for (int j = 0; j < d; ++j) {
+        if (i == j) continue;
+        EXPECT_EQ(dom.VarOf(i, j), vm.VarOf(a, i, j));
+      }
+    }
+  }
+  EXPECT_EQ(cnf.num_vars(), vm.num_vars());
+}
+
+TEST(CnfBuilderTest, StructuralAxiomCounts) {
+  auto inst = Instantiation::Build(EdithSpec());
+  ASSERT_TRUE(inst.ok());
+  ExpectOrderDomainsMatch(*inst, BuildCnf(*inst), 0);
+
+  // An extension that grows a CFD's LHS domain retires one guard and
+  // appends the new value to its attribute's order domain.
+  InstantiationOptions guarded;
+  guarded.guard_cfds = true;
+  auto ginst = Instantiation::Build(GuardSpec(), guarded);
+  ASSERT_TRUE(ginst.ok());
+  sat::Cnf cnf = BuildCnf(*ginst);
+  PartialTemporalOrder ot;
+  ot.new_tuples.push_back(Tuple({Value::Str("a3"), Value::Null()}));
+  ot.orders.emplace_back(0, 0, 2);
+  ot.orders.emplace_back(0, 1, 2);
+  auto next = Extend(GuardSpec(), ot);
+  ASSERT_TRUE(next.ok());
+  auto delta = ginst->ExtendWith(*next, ot, guarded);
+  ASSERT_TRUE(delta.ok());
+  ASSERT_EQ(delta->retired_guards.size(), 1u);
+  ExtendCnf(*ginst, *delta, &cnf);
+  EXPECT_EQ(cnf.order_domain(0).size(), 3);
+  ExpectOrderDomainsMatch(*ginst, cnf, 1);
 }
 
 TEST(GuardedGroundingTest, CfdClausesCarryGuardLiterals) {

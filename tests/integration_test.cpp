@@ -80,28 +80,6 @@ TEST(IntegrationTest, CareerPipelines) {
   EXPECT_GT(r.accuracy_by_round.back().F1(), pick.F1());
 }
 
-TEST(IntegrationTest, WalkSatSolvesGeneratedPhi) {
-  // The stochastic solver handles real Φ(Se) instances from the Person
-  // generator (they are satisfiable: the specs are valid).
-  PersonOptions popts;
-  popts.num_entities = 3;
-  popts.min_tuples = 5;
-  popts.max_tuples = 12;
-  const Dataset ds = GeneratePerson(popts);
-  for (int i = 0; i < 3; ++i) {
-    const Specification se = ds.MakeSpec(i);
-    auto inst = Instantiation::Build(se);
-    ASSERT_TRUE(inst.ok());
-    const sat::Cnf phi = BuildCnf(*inst);
-    maxsat::WalkSatOptions wopts;
-    wopts.max_flips = 400000;
-    wopts.tries = 5;
-    const auto r = maxsat::RunWalkSat(phi, wopts);
-    ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(r->satisfied) << "entity " << i;
-  }
-}
-
 TEST(IntegrationTest, SuggestionsAreActionableOnGeneratedData) {
   // For every incomplete entity, the suggestion must name at least one
   // unresolved attribute whose answer strictly increases resolution.

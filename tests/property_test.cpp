@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "order_axioms.h"
 #include "src/common/rng.h"
 #include "src/core/deduce.h"
 #include "src/core/isvalid.h"
@@ -146,9 +147,32 @@ TEST_P(PropertySweep, PhiRoundTripsThroughDimacs) {
   const sat::Cnf phi = BuildCnf(*inst);
   auto parsed = sat::FromDimacs(sat::ToDimacs(phi));
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->num_clauses(), phi.num_clauses());
+  // The export writes each order domain's axioms out as clauses.
+  int64_t axioms = 0;
+  for (int a = 0; a < inst->varmap.num_attrs(); ++a) {
+    const int64_t d = static_cast<int64_t>(inst->varmap.domain(a).size());
+    axioms += d * (d - 1) / 2 + d * (d - 1) * (d - 2);
+  }
+  EXPECT_EQ(parsed->num_clauses(), phi.num_clauses() + axioms);
+  EXPECT_EQ(parsed->num_order_domains(), 0);
   // Satisfiability is preserved.
   EXPECT_EQ(IsValidCnf(phi).valid, IsValidCnf(*parsed).valid);
+}
+
+TEST_P(PropertySweep, OrderPropagatorMatchesClauseForm) {
+  // The order propagator against the written-out axiom clauses, on valid
+  // and invalid specifications, grounded plain and guarded.
+  const Specification se = RandomSpec(GetParam() * 389 + 5, true);
+  InstantiationOptions guarded;
+  guarded.guard_cfds = true;
+  for (const InstantiationOptions& opts : {InstantiationOptions{}, guarded}) {
+    auto inst = Instantiation::Build(se, opts);
+    ASSERT_TRUE(inst.ok());
+    testing::ExpectOrderFormsAgree(
+        *inst, BuildCnf(*inst), GetParam(), /*probes=*/20,
+        "seed " + std::to_string(GetParam()) +
+            (opts.guard_cfds ? " guarded" : " plain"));
+  }
 }
 
 TEST_P(PropertySweep, ResolverNeverInventsValues) {

@@ -2,8 +2,8 @@
 // seeding-on/off ablation (byte-identical ExperimentResults on all three
 // corpora), the phase-check contract (a model of saved phases is
 // published and answers the next solve; the check never changes what a
-// later search returns), and same-seed determinism of the CNF-form
-// WalkSAT baseline.
+// later search returns; phases that break an order axiom are never
+// published).
 
 #include <gtest/gtest.h>
 
@@ -13,15 +13,10 @@
 #include "src/ccr.h"
 #include "src/common/rng.h"
 #include "src/eval/result_io.h"
-#include "src/maxsat/walksat.h"
 
 namespace ccr {
 namespace {
 
-using maxsat::RunWalkSat;
-using maxsat::WalkSatOptions;
-using maxsat::WalkSatResult;
-using maxsat::WalkSatScratch;
 using sat::Lit;
 using sat::SolveResult;
 using sat::Solver;
@@ -77,48 +72,6 @@ TEST(SlsAblationEquivalenceTest, SlsOnOffResolvesIdentically) {
   }
 }
 
-sat::Cnf RandomCnf(Rng* rng, int n_vars, int n_clauses) {
-  sat::Cnf cnf;
-  cnf.EnsureVars(n_vars);
-  for (int c = 0; c < n_clauses; ++c) {
-    const int len = 1 + static_cast<int>(rng->Below(3));
-    std::vector<Lit> clause;
-    for (int k = 0; k < len; ++k) {
-      clause.push_back(
-          Lit(static_cast<Var>(rng->Below(n_vars)), rng->Chance(0.5)));
-    }
-    cnf.AddClause(std::span<const Lit>(clause.data(), clause.size()));
-  }
-  return cnf;
-}
-
-bool SameWalkSatResult(const WalkSatResult& a, const WalkSatResult& b) {
-  return a.satisfied == b.satisfied && a.best_unsat == b.best_unsat &&
-         a.model == b.model;
-}
-
-// Same seed, same result — with or without pooled scratch, and across
-// repeated runs. The RNG is keyed off options.seed alone; no wall-clock
-// or global state may leak into the search.
-TEST(WalkSatDeterminismTest, SameSeedIsBitIdenticalOnCnf) {
-  Rng rng(0x5EED'D00D);
-  WalkSatScratch pooled;
-  for (int round = 0; round < 20; ++round) {
-    const sat::Cnf cnf = RandomCnf(&rng, 6 + round % 9, 10 + 3 * round);
-    WalkSatOptions opts;
-    opts.max_flips = 2000;
-    opts.tries = 3;
-    opts.seed = 0xABCD + round;
-    const auto fresh1 = RunWalkSat(cnf, opts);
-    const auto fresh2 = RunWalkSat(cnf, opts);
-    const auto with_scratch = RunWalkSat(cnf, opts, &pooled);
-    ASSERT_TRUE(fresh1.ok() && fresh2.ok() && with_scratch.ok());
-    EXPECT_TRUE(SameWalkSatResult(*fresh1, *fresh2)) << "round " << round;
-    EXPECT_TRUE(SameWalkSatResult(*fresh1, *with_scratch))
-        << "round " << round << ": pooled scratch changed the result";
-  }
-}
-
 // Phase-check contract (a): saved phases that form a model under the
 // assumptions are published into the witness ring, and the next solve
 // under the same assumptions is answered from it without search.
@@ -150,6 +103,34 @@ TEST(PhaseCheckTest, ModelPhasesArePublished) {
   // Phases that miss a clause are not published.
   ASSERT_TRUE(s.AddClause({Lit::Neg(c), Lit::Neg(d)}));
   EXPECT_FALSE(s.SeedFromLocalSearch(assume));
+  EXPECT_EQ(s.stats().sls_seeded_models, 1);
+}
+
+// Phase-check contract (c): the order axioms are part of the formula
+// without being clauses, so phases that satisfy every clause but break
+// transitivity are not a model and must not be published — a published
+// witness feeds Deduce's model sweeps and Suggest.
+TEST(PhaseCheckTest, NonTransitivePhasesAreNotPublished) {
+  // One order domain over values a, b, c, and one clause (x_ab ∨ x_ba).
+  sat::Cnf cnf;
+  const Var ab = cnf.NewVar(), ba = cnf.NewVar(), ac = cnf.NewVar(),
+            ca = cnf.NewVar(), bc = cnf.NewVar(), cb = cnf.NewVar();
+  cnf.EnsureOrderDomains(1);
+  cnf.AppendOrderValue(0, std::vector<Var>{});
+  cnf.AppendOrderValue(0, std::vector<Var>{ab, ba});
+  cnf.AppendOrderValue(0, std::vector<Var>{ac, ca, bc, cb});
+  cnf.AddBinary(Lit::Pos(ab), Lit::Pos(ba));
+  Solver s;
+  s.AddCnf(cnf);
+  // a < b and b < c but not a < c: every clause holds, transitivity not.
+  const std::vector<Lit> broken = {Lit::Pos(ab), Lit::Pos(bc), Lit::Neg(ac),
+                                   Lit::Neg(ba), Lit::Neg(cb), Lit::Neg(ca)};
+  EXPECT_FALSE(s.SeedFromLocalSearch(broken));
+  EXPECT_EQ(s.stats().sls_seeded_models, 0);
+  // The same phases with a < c form the total order a < b < c.
+  const std::vector<Lit> chain = {Lit::Pos(ab), Lit::Pos(bc), Lit::Pos(ac),
+                                  Lit::Neg(ba), Lit::Neg(cb), Lit::Neg(ca)};
+  EXPECT_TRUE(s.SeedFromLocalSearch(chain));
   EXPECT_EQ(s.stats().sls_seeded_models, 1);
 }
 
